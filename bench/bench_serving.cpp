@@ -418,7 +418,7 @@ void TeardownRouter(const benchmark::State&) {
 void BM_ServeSharded(benchmark::State& state) {
   const auto& x = cached_input(kShardedRows);
   const std::uint64_t nnz =
-      g_router->shard(0).model(g_router_model).total_nnz();
+      g_router->model_entry(g_router_model).dnn->total_nnz();
   for (auto _ : state) {
     auto fut = g_router
                    ->submit(serve::InferenceRequest::borrowed(
@@ -478,7 +478,6 @@ void SetupRemoteEngine(const benchmark::State& state) {
   SetupEngine(state);
   net::ServerOptions opts;
   opts.submit_workers = 2;
-  opts.hooks = net::make_admin_hooks(*g_engine);
   g_net_server = std::make_unique<net::Server>(*g_engine, opts);
   g_remote = std::make_unique<net::RemoteBackend>(g_net_server->port());
 }
@@ -546,7 +545,7 @@ BENCHMARK(BM_ServeRemoteClosedLoop)
 void BM_ServeFailover(benchmark::State& state) {
   const auto& x = cached_input(kShardedRows);
   const std::uint64_t nnz =
-      g_router->shard(0).model(g_router_model).total_nnz();
+      g_router->model_entry(g_router_model).dnn->total_nnz();
   const bool chaos = state.thread_index() == 0;
   const auto shards = g_router->num_shards();
   std::size_t victim = 0;

@@ -2,10 +2,9 @@
 // through the unified front-end API -- optionally sharded.
 //
 // Demonstrates the serving stack top to bottom: clients hold a
-// serve::Client bound to a model on a serve::Backend; the backend is
-// either one in-process Engine (--shards 1) or a ShardRouter fanning
-// the same models out across N independent engines (--shards N,
-// default 2), chosen at runtime behind the same interface.  One
+// serve::Client bound to a model on a serve::Backend; the backend is a
+// ShardRouter fanning the same models out across N independent engines
+// (--shards N, default 2; --shards 1 is a one-shard fleet).  One
 // RadiX-Net challenge preset is registered twice -- as an
 // interactive-class "chat" model (tiny coalescing window, high weight)
 // and as a background-class "bulk" model (big window, best effort).
@@ -20,7 +19,8 @@
 //
 // Live operations ride along: while the clients are mid-stream an
 // operator thread kills shard 0 (its queued requests fail over to the
-// siblings) and restarts it (fresh engine, registry replayed); after
+// siblings) and restarts it (fresh engine, registry replayed) -- on
+// fleets of two or more shards, so a sibling is there to take over; after
 // the run the "bulk" model is hot-swapped to a retrained version --
 // in-flight traffic finishes on whichever version it started with, new
 // traffic sees only the new weights -- and then retired, after which
@@ -57,7 +57,6 @@
 #include "infer/sparse_dnn.hpp"
 #include "radixnet/graph_challenge.hpp"
 #include "serve/client.hpp"
-#include "serve/engine.hpp"
 #include "serve/fault.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/metrics.hpp"
@@ -70,19 +69,20 @@ using namespace radix;
 
 namespace {
 
+// Both modes register one network twice: an interactive "chat" model
+// and a background "bulk" model.
+constexpr serve::QosPolicy kChatQos{.priority = serve::Priority::kInteractive,
+                                    .weight = 4};
+constexpr serve::QosPolicy kBulkQos{.priority = serve::Priority::kBackground};
+
 // --- Observability ride-alongs (--metrics / --trace) ----------------------
 
-// Export the backend's counters/gauges/histograms and print both
+// Export the router's counters/gauges/histograms and print both
 // renderings between fixed delimiters (scripts/check_perf_smoke.py
 // parses the exposition block).
-void print_metrics(const serve::Engine* engine,
-                   const serve::ShardRouter* router) {
+void print_metrics(const serve::ShardRouter& router) {
   serve::MetricsRegistry registry;
-  if (router) {
-    router->export_metrics(registry);
-  } else {
-    engine->export_metrics(registry);
-  }
+  router.export_metrics(registry);
   std::printf("=== metrics (prometheus) ===\n%s"
               "=== metrics (json) ===\n%s\n",
               registry.render_prometheus().c_str(),
@@ -141,6 +141,7 @@ int run_overload(std::size_t shards, bool metrics, bool trace) {
   opts.max_delay = std::chrono::microseconds(0);  // per-request cost
   opts.queue_capacity = 4096;
   opts.shed_capacity = 64;  // bounded backlog; excess is shed, visibly
+  opts.fault = &floor;      // the same service floor on every shard
   std::unique_ptr<serve::Tracer> tracer;
   if (trace) {
     tracer = std::make_unique<serve::Tracer>(
@@ -148,32 +149,9 @@ int run_overload(std::size_t shards, bool metrics, bool trace) {
     opts.tracer = tracer.get();
   }
 
-  std::unique_ptr<serve::Engine> engine;
-  std::unique_ptr<serve::ShardRouter> router;
-  serve::Backend* backend = nullptr;
-  const serve::QosPolicy chat_qos{.priority = serve::Priority::kInteractive,
-                                  .weight = 4};
-  const serve::QosPolicy bulk_qos{.priority = serve::Priority::kBackground};
-  if (shards == 1) {
-    opts.fault = &floor;
-    engine = std::make_unique<serve::Engine>(opts);
-    (void)engine->add_model(dnn, "chat", chat_qos);
-    (void)engine->add_model(dnn, "bulk", bulk_qos);
-    backend = engine.get();
-  } else {
-    serve::ShardRouterOptions ropts;
-    ropts.shards = shards;
-    ropts.engine = opts;
-    ropts.tune_shard = [&floor](std::size_t, serve::EngineOptions& eo) {
-      eo.fault = &floor;
-    };
-    router = std::make_unique<serve::ShardRouter>(ropts);
-    (void)router->add_model(dnn, "chat", chat_qos);
-    (void)router->add_model(dnn, "bulk", bulk_qos);
-    backend = router.get();
-  }
-  const serve::ModelId chat = backend->find_model("chat").value();
-  const serve::ModelId bulk = backend->find_model("bulk").value();
+  serve::ShardRouter router({.shards = shards, .engine = opts});
+  const serve::ModelId chat = router.add_model(dnn, "chat", kChatQos);
+  const serve::ModelId bulk = router.add_model(dnn, "bulk", kBulkQos);
 
   // Offered load: capacity is UNDER workers/floor (the floor ignores
   // the forward cost), so 2x that bound is over capacity everywhere.
@@ -222,8 +200,8 @@ int run_overload(std::size_t shards, bool metrics, bool trace) {
         }
       };
       led.offered.fetch_add(1);
-      (void)backend->submit(serve::InferenceRequest::borrowed(id, x, kRows),
-                            std::move(so));
+      (void)router.submit(serve::InferenceRequest::borrowed(id, x, kRows),
+                          std::move(so));
     };
   };
 
@@ -255,14 +233,12 @@ int run_overload(std::size_t shards, bool metrics, bool trace) {
          std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(1ms);
   }
-  backend->shutdown();
+  router.shutdown();
 
   const serve::ServeStats chat_stats =
-      router ? router->class_stats(serve::Priority::kInteractive)
-             : engine->class_stats(serve::Priority::kInteractive);
+      router.class_stats(serve::Priority::kInteractive);
   const serve::ServeStats bulk_stats =
-      router ? router->class_stats(serve::Priority::kBackground)
-             : engine->class_stats(serve::Priority::kBackground);
+      router.class_stats(serve::Priority::kBackground);
 
   std::printf("[chat]  offered %llu, served %llu, deadline-dropped %llu "
               "(shed %llu, expired %llu), e2e p99 %.1fms\n",
@@ -295,7 +271,7 @@ int run_overload(std::size_t shards, bool metrics, bool trace) {
               "%s\n", chat_protected ? "yes" : "NO");
   std::printf("background absorbed the overload (shed > 0): %s\n",
               bulk_shed ? "yes" : "NO");
-  if (metrics) print_metrics(engine.get(), router.get());
+  if (metrics) print_metrics(router);
   if (tracer) print_timelines(*tracer);
 
   const bool ok = all_completed && chat_protected && bulk_shed;
@@ -356,28 +332,11 @@ int main(int argc, char** argv) {
     opts.tracer = tracer.get();
   }
 
-  // The backend: one engine, or the same options per shard behind a
-  // ShardRouter -- the serving code below only sees serve::Backend.
-  std::unique_ptr<serve::Engine> engine;
-  std::unique_ptr<serve::ShardRouter> router;
-  serve::Backend* backend = nullptr;
-  const serve::QosPolicy chat_qos{.priority = serve::Priority::kInteractive,
-                                  .weight = 4};
-  const serve::QosPolicy bulk_qos{.priority = serve::Priority::kBackground};
-  if (shards == 1) {
-    engine = std::make_unique<serve::Engine>(opts);
-    (void)engine->add_model(dnn, "chat", chat_qos);
-    (void)engine->add_model(dnn, "bulk", bulk_qos);
-    backend = engine.get();
-  } else {
-    router = std::make_unique<serve::ShardRouter>(
-        serve::ShardRouterOptions{.shards = shards, .engine = opts});
-    (void)router->add_model(dnn, "chat", chat_qos);
-    (void)router->add_model(dnn, "bulk", bulk_qos);
-    backend = router.get();
-  }
-  serve::Client chat(*backend, backend->find_model("chat").value());
-  serve::Client bulk(*backend, backend->find_model("bulk").value());
+  // The backend: the same options on every shard behind a ShardRouter
+  // -- the clients below only see serve::Backend.
+  serve::ShardRouter router({.shards = shards, .engine = opts});
+  serve::Client chat(router, router.add_model(dnn, "chat", kChatQos));
+  serve::Client bulk(router, router.add_model(dnn, "bulk", kBulkQos));
   std::printf("backend: %zu shard%s x %u workers; chat=interactive "
               "(50us window, 8-row budget), bulk=background "
               "(500us window, 32-row budget)\n\n",
@@ -402,9 +361,9 @@ int main(int argc, char** argv) {
   }
 
   // Three interactive closed-loop clients plus one bulk client; with a
-  // router, an operator thread bounces shard 0 mid-stream -- queued
-  // requests on the killed shard fail over, so the bit-exact check
-  // below doubles as the failover correctness check.
+  // sibling to fail over to, an operator thread bounces shard 0
+  // mid-stream -- queued requests on the killed shard fail over, so the
+  // bit-exact check below doubles as the failover correctness check.
   constexpr int kChatClients = 3;
   constexpr int kRequestsPerClient = 60;
   std::atomic<int> mismatches{0};
@@ -422,20 +381,20 @@ int main(int argc, char** argv) {
         }
       });
     }
-    if (router) {
+    if (shards > 1) {
       clients.spawn([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        router->kill_shard(0);
+        router.kill_shard(0);
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        router->restart_shard(0);
+        router.restart_shard(0);
       });
     }
   }  // clients join
-  if (router) {
+  if (shards > 1) {
     std::printf("operator: bounced shard 0 mid-stream; %llu queued "
                 "request%s failed over to siblings\n",
-                static_cast<unsigned long long>(router->failovers()),
-                router->failovers() == 1 ? "" : "s");
+                static_cast<unsigned long long>(router.failovers()),
+                router.failovers() == 1 ? "" : "s");
   }
 
   // --- Live model lifecycle: hot-swap, then retire ----------------------
@@ -444,12 +403,8 @@ int main(int argc, char** argv) {
   const auto net2 = gc::network(1024, 12, &rng2);
   auto dnn2 =
       std::make_shared<infer::SparseDnn>(net2.layers, net2.bias, gc::kClamp);
-  const serve::ModelId bulk_id = backend->find_model("bulk").value();
-  if (router) {
-    router->swap_model(bulk_id, dnn2);
-  } else {
-    engine->swap_model(bulk_id, dnn2);
-  }
+  const serve::ModelId bulk_id = bulk.model();
+  router.swap_model(bulk_id, dnn2);
   const auto y2 = dnn2->forward(payloads[0].x.data(), payloads[0].rows,
                                 verify_ws);
   const std::vector<float> want2(y2.begin(), y2.end());
@@ -458,20 +413,15 @@ int main(int argc, char** argv) {
   std::printf("operator: hot-swapped 'bulk' to retrained weights "
               "(now v%llu); post-swap response %s the new model\n",
               static_cast<unsigned long long>(
-                  (router ? router->shard(0) : *engine).model_version(
-                      bulk_id)),
+                  router.model_entry(bulk_id).version),
               swap_ok ? "matches" : "DOES NOT match");
 
-  if (router) {
-    router->remove_model(bulk_id);
-  } else {
-    engine->remove_model(bulk_id);
-  }
+  router.remove_model(bulk_id);
   const bool retired_rejects =
       !bulk.submit(payloads[0].x, payloads[0].rows).admitted();
   std::printf("operator: retired 'bulk'; new submissions are %s\n\n",
               retired_rejects ? "rejected" : "STILL SERVED");
-  backend->shutdown();
+  router.shutdown();
 
   // Per-model stats, merged across shards by the router's Backend view.
   const serve::ServeStats chat_stats = chat.stats();
@@ -479,7 +429,7 @@ int main(int argc, char** argv) {
   std::printf("[chat]\n%s\n", serve::to_string(chat_stats).c_str());
   std::printf("[bulk]\n%s\n", serve::to_string(bulk_stats).c_str());
 
-  if (metrics) print_metrics(engine.get(), router.get());
+  if (metrics) print_metrics(router);
   if (tracer) print_timelines(*tracer);
 
   std::printf("bit-exact vs direct forward: %s\n",

@@ -4,11 +4,12 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 
-#include "serve/engine.hpp"
 #include "serve/metrics.hpp"
 #include "serve/router.hpp"
 #include "store/artifact.hpp"
@@ -17,6 +18,12 @@
 namespace radix::net {
 
 namespace {
+
+// Clamp on a remote submission's admission wait: Admission::kBlock
+// becomes kBoundedWait with this budget, and kBoundedWait keeps
+// min(its timeout, this), so a saturated backend rejects instead of
+// parking a submit-pool thread.
+constexpr std::chrono::microseconds kMaxAdmissionWait{250'000};
 
 [[noreturn]] void throw_errno(const char* what) {
   throw IoError(std::string(what) + ": " + std::strerror(errno));
@@ -50,28 +57,31 @@ AdminHooks make_admin_hooks(serve::ShardRouter& router) {
     }
     return health;
   };
-  hooks.model_info = [&router](serve::ModelId id) {
-    // Shard 0 mirrors the fleet-wide registry (ids, names, versions and
-    // tombstones are kept in lockstep across shards by construction).
-    const serve::Engine& e = router.shard(0);
-    WireModelInfo m;
-    m.id = id;
-    m.name = e.model_name(id);
-    m.retired = e.model_retired(id);
-    m.version = e.model_version(id);
-    m.priority = e.model_priority(id);
-    if (!m.retired) {
-      m.input_width = static_cast<std::uint32_t>(e.model(id).input_width());
-      m.output_width = static_cast<std::uint32_t>(e.model(id).output_width());
+  hooks.list_models = [&router] {
+    const auto entries = router.models();
+    std::vector<WireModelInfo> rows(entries.size());
+    for (serve::ModelId id = 0; id < entries.size(); ++id) {
+      const auto& e = entries[id];
+      WireModelInfo& m = rows[id];
+      m.id = id;
+      m.name = e.name;
+      m.retired = e.retired;
+      m.version = e.version;
+      m.priority = e.qos.priority;
+      if (e.dnn) {
+        m.input_width = static_cast<std::uint32_t>(e.dnn->input_width());
+        m.output_width = static_cast<std::uint32_t>(e.dnn->output_width());
+      }
+      m.pending = router.pending(id);
     }
-    m.pending = router.pending(id);
-    return m;
+    return rows;
   };
   hooks.save_model = [&router](serve::ModelId id, const std::string& path) {
-    // Shard 0 mirrors the fleet-wide registry; every shard serves the
-    // same shared SparseDnn, so shard 0's weights ARE the model.
-    const serve::Engine& e = router.shard(0);
-    store::save_artifact(path, e.model(id), e.model_name(id));
+    // Every shard serves the registry's shared SparseDnn, so the
+    // registry's weights ARE the model.
+    const auto e = router.model_entry(id);
+    RADIX_REQUIRE(e.dnn != nullptr, "ShardRouter: model was removed");
+    store::save_artifact(path, *e.dnn, e.name);
     return static_cast<std::uint64_t>(std::filesystem::file_size(path));
   };
   hooks.load_model = [&router](const std::string& path,
@@ -79,59 +89,6 @@ AdminHooks make_admin_hooks(serve::ShardRouter& router) {
     store::ArtifactReader reader(path);
     auto dnn = std::make_shared<const infer::SparseDnn>(reader.instantiate());
     return router.add_model(std::move(dnn),
-                            name.empty() ? reader.name() : name);
-  };
-  return hooks;
-}
-
-AdminHooks make_admin_hooks(serve::Engine& engine) {
-  AdminHooks hooks;
-  hooks.class_stats = [&engine](serve::Priority p) {
-    return engine.class_stats(p);
-  };
-  hooks.metrics_text = [&engine] {
-    serve::MetricsRegistry registry;
-    engine.export_metrics(registry);
-    return registry.render_prometheus();
-  };
-  hooks.shard_ctl = [&engine](ShardVerb verb, std::size_t index) {
-    RADIX_REQUIRE(index == 0, "single-engine backend has only shard 0");
-    switch (verb) {
-      case ShardVerb::kHealth: break;
-      case ShardVerb::kDrain: engine.quiesce(); break;
-      case ShardVerb::kRestart:
-      case ShardVerb::kKill:
-        throw Error("shard restart/kill needs a sharded backend");
-    }
-    return std::vector<serve::ShardHealth>{engine.accepting()
-                                               ? serve::ShardHealth::kUp
-                                               : serve::ShardHealth::kDown};
-  };
-  hooks.model_info = [&engine](serve::ModelId id) {
-    WireModelInfo m;
-    m.id = id;
-    m.name = engine.model_name(id);
-    m.retired = engine.model_retired(id);
-    m.version = engine.model_version(id);
-    m.priority = engine.model_priority(id);
-    if (!m.retired) {
-      m.input_width =
-          static_cast<std::uint32_t>(engine.model(id).input_width());
-      m.output_width =
-          static_cast<std::uint32_t>(engine.model(id).output_width());
-    }
-    m.pending = engine.pending(id);
-    return m;
-  };
-  hooks.save_model = [&engine](serve::ModelId id, const std::string& path) {
-    store::save_artifact(path, engine.model(id), engine.model_name(id));
-    return static_cast<std::uint64_t>(std::filesystem::file_size(path));
-  };
-  hooks.load_model = [&engine](const std::string& path,
-                               const std::string& name) {
-    store::ArtifactReader reader(path);
-    auto dnn = std::make_shared<const infer::SparseDnn>(reader.instantiate());
-    return engine.add_model(std::move(dnn),
                             name.empty() ? reader.name() : name);
   };
   return hooks;
@@ -494,13 +451,11 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
     }
     case MsgType::kListModelsReq: {
       r.expect_end();
-      RADIX_REQUIRE(static_cast<bool>(options_.hooks.model_info),
+      RADIX_REQUIRE(static_cast<bool>(options_.hooks.list_models),
                     "radix-served: model listing unsupported by this backend");
-      const std::size_t n = backend_.num_models();
-      w.u32(static_cast<std::uint32_t>(n));
-      for (std::size_t id = 0; id < n; ++id) {
-        encode_model_info(w, options_.hooks.model_info(id));
-      }
+      const auto models = options_.hooks.list_models();
+      w.u32(static_cast<std::uint32_t>(models.size()));
+      for (const WireModelInfo& m : models) encode_model_info(w, m);
       enqueue_response(conn, MsgType::kListModelsResp, frame.correlation,
                        body);
       return;
@@ -610,9 +565,9 @@ void Server::execute_submit(const std::shared_ptr<Connection>& conn,
   // client can retry -- backpressure, not a wedged server.
   if (opts.admission == serve::Admission::kBlock) {
     opts.admission = serve::Admission::kBoundedWait;
-    opts.timeout = options_.max_admission_wait;
+    opts.timeout = kMaxAdmissionWait;
   } else if (opts.admission == serve::Admission::kBoundedWait) {
-    opts.timeout = std::min(opts.timeout, options_.max_admission_wait);
+    opts.timeout = std::min(opts.timeout, kMaxAdmissionWait);
   }
 
   const std::uint64_t correlation = frame.correlation;

@@ -11,13 +11,13 @@
 //     partial writes and EINTR are the normal case here, not errors.
 //   * A small SUBMIT POOL executes the decoded verbs.  Inference
 //     submissions go through the backend's bounded-wait admission path:
-//     a client asking Admission::kBlock gets the block CLAMPED to
-//     ServerOptions::max_admission_wait (kBoundedWait under the hood,
-//     i.e. Engine's try_submit_for seam) so a saturated backend
-//     backpressures the client with a rejection instead of parking a
-//     pool thread forever.  Admin verbs (stats, metrics, shard
-//     lifecycle) run on the same pool -- a drain that takes seconds
-//     never stalls socket I/O.
+//     a client asking Admission::kBlock gets the block CLAMPED to a
+//     fixed 250 ms (kBoundedWait under the hood, i.e. Engine's
+//     try_submit_for seam) so a saturated backend backpressures the
+//     client with a rejection instead of parking a pool thread
+//     forever.  Admin verbs (stats, metrics, shard lifecycle) run on
+//     the same pool -- a drain that takes seconds never stalls socket
+//     I/O.
 //   * COMPLETIONS arrive on backend worker threads: the DoneFn encodes
 //     the kResult frame, appends it to the connection's output queue
 //     under the connection mutex, and wakes the event loop through an
@@ -28,14 +28,17 @@
 //     the shared_ptr).
 //
 // The server does NOT own the backend: radix-served composes
-// (models -> Engine/ShardRouter -> Server) and tears down in reverse.
-// Admin verbs beyond the Backend interface (per-class stats, shard
-// drain/restart, metrics text) are injected as AdminHooks so the
-// server stays decoupled from which backend it fronts.
+// (models -> ShardRouter -> Server) and tears down in reverse; with
+// --shards 1 the router is a one-shard fleet.  The Backend verbs
+// (submit, stats, pending, model lookup) work on any backend.  Admin
+// verbs beyond them (registry listing, per-class stats, shard
+// lifecycle, metrics text, model save/load) are injected as AdminHooks,
+// and only the router has a hook set: make_admin_hooks(ShardRouter&).
+// A server fronting a bare Engine -- tests and benches do that --
+// answers those verbs with "unsupported".
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -53,7 +56,6 @@
 #include "serve/qos.hpp"
 
 namespace radix::serve {
-class Engine;
 class ShardRouter;
 class MetricsRegistry;
 enum class ShardHealth : std::uint8_t;  // serve/router.hpp
@@ -73,8 +75,9 @@ struct AdminHooks {
   /// nothing), then return every shard's health.
   std::function<std::vector<serve::ShardHealth>(ShardVerb, std::size_t)>
       shard_ctl{};
-  /// kListModelsReq: one registry row per model id.
-  std::function<WireModelInfo(serve::ModelId)> model_info{};
+  /// kListModelsReq: one row per registered model id, retired ids
+  /// included, in id order.
+  std::function<std::vector<WireModelInfo>()> list_models{};
   /// kSaveModelReq: serialize model `id` as a RADIXART artifact
   /// (store/artifact.hpp) at `path` on the SERVER's filesystem; returns
   /// the artifact size in bytes.
@@ -88,12 +91,10 @@ struct AdminHooks {
       load_model{};
 };
 
-/// The full hook set for the composite backend: class_stats /
-/// export_metrics / drain-restart-kill / registry rows off the router.
+/// The hook set radix-served installs: class_stats / export_metrics /
+/// drain-restart-kill / registry rows / save / load, all answered by
+/// the router -- registry reads from its own registry, never a shard's.
 AdminHooks make_admin_hooks(serve::ShardRouter& router);
-/// Single-engine hook set: everything but shard_ctl (one shard, no
-/// lifecycle verbs -- kHealth still answers via the engine's state).
-AdminHooks make_admin_hooks(serve::Engine& engine);
 
 struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (read it back
@@ -101,10 +102,6 @@ struct ServerOptions {
   std::uint16_t port = 0;
   /// Threads executing decoded verbs (admission waits happen here).
   std::size_t submit_workers = 2;
-  /// Clamp applied to Admission::kBlock submissions, converting them to
-  /// kBoundedWait so a saturated backend rejects instead of wedging a
-  /// pool thread.  kBoundedWait requests keep min(their timeout, this).
-  std::chrono::microseconds max_admission_wait{250'000};
   AdminHooks hooks{};
 };
 

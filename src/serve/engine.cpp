@@ -20,20 +20,6 @@ std::int64_t nanos_of(std::chrono::steady_clock::time_point tp) {
       .count();
 }
 
-// Completion adapter for future-completion submissions.
-DoneFn promise_done(
-    std::shared_ptr<std::promise<std::vector<float>>> promise) {
-  return [promise = std::move(promise)](std::span<const float> y,
-                                        const RequestTiming&,
-                                        std::exception_ptr err) {
-    if (err) {
-      promise->set_exception(err);
-    } else {
-      promise->set_value(std::vector<float>(y.begin(), y.end()));
-    }
-  };
-}
-
 BatcherOptions batcher_options(const EngineOptions& o) {
   BatcherOptions b;
   b.queue_capacity = o.queue_capacity;
@@ -105,13 +91,11 @@ ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
   st->input_width = st->dnn->input_width();
   st->output_width = st->dnn->output_width();
   st->stats = std::make_shared<StatsCollector>();
-  if (options_.prewarm) {
-    // Builds the shared transposed-layer cache once, up front, so the
-    // first served batch does not pay one-time construction latency.
-    // Worker workspaces stay lazy: their panels grow once per worker on
-    // first contact (growth-only, cheap next to a transpose build).
-    st->dnn->prewarm();
-  }
+  // Builds the shared transposed-layer cache once, up front, so the
+  // first served batch does not pay one-time construction latency.
+  // Worker workspaces stay lazy: their panels grow once per worker on
+  // first contact (growth-only, cheap next to a transpose build).
+  st->dnn->prewarm();
   // Registry publish and batcher queue creation must be one atomic
   // step: concurrent add_model calls interleaving between them would
   // hand out mismatched ids and route one model's traffic to another's
@@ -168,12 +152,10 @@ void Engine::remove_model(ModelId id) {
 void Engine::swap_model(ModelId id,
                         std::shared_ptr<const infer::SparseDnn> dnn) {
   RADIX_REQUIRE(dnn != nullptr, "Engine: model must not be null");
-  if (options_.prewarm) {
-    // Prewarm BEFORE taking any lock or publishing: the first batch on
-    // the new version must not pay transpose construction, and the
-    // submit hot path must never wait on it.
-    dnn->prewarm();
-  }
+  // Prewarm BEFORE taking any lock or publishing: the first batch on
+  // the new version must not pay transpose construction, and the
+  // submit hot path must never wait on it.
+  dnn->prewarm();
   std::scoped_lock lock(models_mutex_);
   const auto reg = models_.load(std::memory_order_acquire);
   RADIX_REQUIRE(id < reg->size(), "Engine: unknown model id");
@@ -316,7 +298,7 @@ SubmitResult Engine::submit(InferenceRequest req, SubmitOptions opts) {
   } else {
     auto promise = std::make_shared<std::promise<std::vector<float>>>();
     future = promise->get_future();
-    r.done = promise_done(std::move(promise));
+    r.done = detail::promise_done(std::move(promise));
   }
   if (!req.storage.empty()) {
     r.owned = std::move(req.storage);
@@ -426,11 +408,6 @@ ServeStats Engine::class_stats(Priority p) const {
 }
 
 std::size_t Engine::pending(ModelId id) const {
-  (void)state(id);  // validates the id
-  return batcher_.pending(id);
-}
-
-std::size_t Engine::pending_probe(ModelId id) const {
   return batcher_.pending(id);  // validates id under the monitor alone
 }
 

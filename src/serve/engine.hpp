@@ -112,8 +112,6 @@ struct EngineOptions {
   /// Pending-request bound per model; what a full queue does to submit
   /// is SubmitOptions::admission.
   std::size_t queue_capacity = 1024;
-  /// Prewarm models on add_model (build transposes, size workspaces).
-  bool prewarm = true;
   /// Per-class overrides of max_delay / max_batch_rows, indexed by
   /// Priority; unset fields inherit the engine-wide defaults above.
   /// A per-model QosPolicy field overrides both.
@@ -252,14 +250,10 @@ class Engine final : public Backend {
   /// Current counters for one model (cheap, thread-safe).
   ServeStats stats(ModelId id) const override;
 
-  /// Requests queued (not yet claimed) for one model.
+  /// Requests queued (not yet claimed) for one model.  Takes only the
+  /// batcher monitor -- no registry snapshot -- because ShardRouter's
+  /// two-choice pick calls it twice per routed request.
   std::size_t pending(ModelId id) const override;
-
-  /// pending() for probe traffic (ShardRouter's two-choice pick): takes
-  /// only the batcher monitor, not the model registry lock, so probes
-  /// do not contend with add_model/stats lookups.  Same validation and
-  /// result as pending().
-  std::size_t pending_probe(ModelId id) const;
 
   std::size_t num_models() const override;
 

@@ -29,6 +29,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -96,6 +97,25 @@ struct RequestTiming {
 using DoneFn = std::function<void(std::span<const float> output,
                                   const RequestTiming& timing,
                                   std::exception_ptr error)>;
+
+namespace detail {
+
+/// Completion adapter for future-completion submissions: resolves
+/// `promise` with a copy of the output rows, or with the error.
+inline DoneFn promise_done(
+    std::shared_ptr<std::promise<std::vector<float>>> promise) {
+  return [promise = std::move(promise)](std::span<const float> y,
+                                        const RequestTiming&,
+                                        std::exception_ptr err) {
+    if (err) {
+      promise->set_exception(err);
+    } else {
+      promise->set_value(std::vector<float>(y.begin(), y.end()));
+    }
+  };
+}
+
+}  // namespace detail
 
 /// One inference request: `rows` rows of model-input features for
 /// `model`, row-major in `input`.  Construct through the factories --

@@ -37,22 +37,6 @@ std::uint64_t thread_random(std::uint64_t seed) noexcept {
   return mix64(seed ^ thread_salt ^ counter);
 }
 
-// Completion adapter for future-completion submissions (the router
-// terminates completions itself now -- the shard engines only ever see
-// callback submissions through the failover capsule).
-DoneFn promise_done(
-    std::shared_ptr<std::promise<std::vector<float>>> promise) {
-  return [promise = std::move(promise)](std::span<const float> y,
-                                        const RequestTiming&,
-                                        std::exception_ptr err) {
-    if (err) {
-      promise->set_exception(err);
-    } else {
-      promise->set_value(std::vector<float>(y.begin(), y.end()));
-    }
-  };
-}
-
 }  // namespace
 
 // The failover capsule: one heap object per routed request, shared by
@@ -209,12 +193,10 @@ void ShardRouter::remove_model(ModelId id) {
 void ShardRouter::swap_model(ModelId id,
                              std::shared_ptr<const infer::SparseDnn> dnn) {
   RADIX_REQUIRE(dnn != nullptr, "ShardRouter: model must not be null");
-  if (options_.engine.prewarm) {
-    // One prewarm before ANY shard cuts over: the transpose caches live
-    // on the shared SparseDnn, so each shard's own prewarm (inside
-    // Engine::swap_model) finds them already built.
-    dnn->prewarm();
-  }
+  // One prewarm before ANY shard cuts over: the transpose caches live
+  // on the shared SparseDnn, so each shard's own prewarm (inside
+  // Engine::swap_model) finds them already built.
+  dnn->prewarm();
   std::scoped_lock lock(admin_mutex_);
   RADIX_REQUIRE(id < registry_.size(), "ShardRouter: unknown model id");
   RADIX_REQUIRE(!registry_[id].retired,
@@ -229,6 +211,17 @@ void ShardRouter::swap_model(ModelId id,
   }
   registry_[id].dnn = std::move(dnn);
   ++registry_[id].version;
+}
+
+ShardRouter::ModelEntry ShardRouter::model_entry(ModelId id) const {
+  std::scoped_lock lock(admin_mutex_);
+  RADIX_REQUIRE(id < registry_.size(), "ShardRouter: unknown model id");
+  return registry_[id];
+}
+
+std::vector<ShardRouter::ModelEntry> ShardRouter::models() const {
+  std::scoped_lock lock(admin_mutex_);
+  return registry_;
 }
 
 std::size_t ShardRouter::num_shards() const noexcept {
@@ -279,6 +272,15 @@ void ShardRouter::kill_shard(std::size_t index) {
   // capsule completion catches it and resubmits on a healthy shard, so
   // by the time abort returns every orphan is queued elsewhere.
   f->engines[index]->abort();
+  // abort() has joined the workers, so the dead engine's stats are
+  // final: fold them into the carried accumulator.  From here on the
+  // router reads only live engines -- a killed engine never learns of
+  // models added after its death and must not be asked about them.
+  std::scoped_lock stats_lock(carried_mutex_);
+  if (carried_.size() < registry_.size()) carried_.resize(registry_.size());
+  for (ModelId m = 0; m < registry_.size(); ++m) {
+    carried_[m].merge(f->engines[index]->stats(m));
+  }
 }
 
 void ShardRouter::restart_shard(std::size_t index) {
@@ -298,16 +300,7 @@ void ShardRouter::restart_shard(std::size_t index) {
     case ShardHealth::kDown:
       break;
   }
-  // Fold the dead engine's stats into the carried accumulator before
-  // letting go of it: stats() keeps reporting the full service history
-  // across any number of restarts.
-  {
-    std::scoped_lock stats_lock(carried_mutex_);
-    if (carried_.size() < registry_.size()) carried_.resize(registry_.size());
-    for (ModelId m = 0; m < registry_.size(); ++m) {
-      carried_[m].merge(f->engines[index]->stats(m));
-    }
-  }
+  // kill_shard already carried the dead engine's stats; drop it.
   auto engine = std::make_shared<Engine>(shard_options(index));
   replay_registry_locked(*engine);
   auto next = clone_fleet_locked();
@@ -363,7 +356,7 @@ std::size_t ShardRouter::pick_shard(const Fleet& fleet, ModelId model) const {
   // this model (ties go to the first).  Both positions come from
   // bias-free bounded draws (detail::bounded_draw); the second draw
   // re-mixes the first so the pair is decorrelated without a second
-  // RNG stream.  pending_probe takes only the probed shard's batcher
+  // RNG stream.  Engine::pending takes only the probed shard's batcher
   // monitor -- a brief acquisition, but still the lock workers and
   // submitters of that shard use; a lock-free per-model depth gauge is
   // the next step if probe traffic ever shows up in a profile.
@@ -375,8 +368,7 @@ std::size_t ShardRouter::pick_shard(const Fleet& fleet, ModelId model) const {
   if (bi >= ai) ++bi;
   const std::size_t a = h[ai];
   const std::size_t b = h[bi];
-  return fleet.engines[b]->pending_probe(model) <
-                 fleet.engines[a]->pending_probe(model)
+  return fleet.engines[b]->pending(model) < fleet.engines[a]->pending(model)
              ? b
              : a;
 }
@@ -494,7 +486,7 @@ SubmitResult ShardRouter::submit(InferenceRequest req, SubmitOptions opts) {
   } else {
     auto promise = std::make_shared<std::promise<std::vector<float>>>();
     future = promise->get_future();
-    relay->done = promise_done(std::move(promise));
+    relay->done = detail::promise_done(std::move(promise));
   }
   std::size_t index = pick_shard(*f, req.model);
   while (index != kNoShard) {
@@ -525,10 +517,12 @@ ServeStats ShardRouter::stats(ModelId model) const {
     std::scoped_lock lock(carried_mutex_);
     if (model < carried_.size()) merged = carried_[model];
   }
-  // Down shards still answer stats (their collectors outlive the
-  // abort); only a restart moves their numbers into carried_.
   const auto f = fleet();
-  for (const auto& engine : f->engines) merged.merge(engine->stats(model));
+  for (std::size_t s = 0; s < f->engines.size(); ++s) {
+    if (f->health[s] != ShardHealth::kDown) {
+      merged.merge(f->engines[s]->stats(model));
+    }
+  }
   return merged;
 }
 
@@ -539,14 +533,18 @@ ServeStats ShardRouter::class_stats(Priority p) const {
   {
     // Carried per-model histories are folded in by class membership
     // (registry_ keeps a removed model's QoS).  Lock order matches
-    // restart_shard: admin before carried.
+    // kill_shard: admin before carried.
     std::scoped_lock lock(admin_mutex_, carried_mutex_);
     for (ModelId m = 0; m < registry_.size() && m < carried_.size(); ++m) {
       if (registry_[m].qos.priority == p) merged.merge(carried_[m]);
     }
   }
   const auto f = fleet();
-  for (const auto& engine : f->engines) merged.merge(engine->class_stats(p));
+  for (std::size_t s = 0; s < f->engines.size(); ++s) {
+    if (f->health[s] != ShardHealth::kDown) {
+      merged.merge(f->engines[s]->class_stats(p));
+    }
+  }
   return merged;
 }
 
@@ -572,7 +570,11 @@ void ShardRouter::export_metrics(MetricsRegistry& registry) const {
 std::size_t ShardRouter::pending(ModelId model) const {
   const auto f = fleet();
   std::size_t total = 0;
-  for (const auto& engine : f->engines) total += engine->pending(model);
+  for (std::size_t s = 0; s < f->engines.size(); ++s) {
+    if (f->health[s] != ShardHealth::kDown) {
+      total += f->engines[s]->pending(model);
+    }
+  }
   return total;
 }
 

@@ -13,12 +13,15 @@
 //   * add_model registers the model (same shared SparseDnn, same QoS
 //     policy, same name) on every live shard; ids are identical across
 //     shards and across the router.  remove_model / swap_model apply
-//     the Engine lifecycle fleet-wide (see engine.hpp).
+//     the Engine lifecycle fleet-wide (see engine.hpp).  The router's
+//     own registry is the one authority on what is registered:
+//     model_entry() and models() answer from it, never from a shard,
+//     so they stay right while any shard is down.
 //   * submit picks the shard by power-of-two-choices on queue depth:
 //     two random in-rotation shards are probed and the request goes to
 //     the one with fewer pending requests for its model.  That is one
 //     RNG draw and two briefly locked depth reads per request
-//     (Engine::pending_probe, batcher monitor only) -- no global
+//     (Engine::pending, batcher monitor only) -- no global
 //     balancing state -- yet keeps the maximum queue imbalance
 //     exponentially better than random placement (Mitzenmacher's
 //     classic result).
@@ -26,12 +29,12 @@
 //     and batch rows are independent under the challenge forward rule,
 //     so outputs are bit-identical to a direct fused forward of the
 //     same rows no matter which shard serves them or how they coalesce.
-//   * stats() merges the per-shard snapshots with ServeStats::merge
-//     (bucket-wise Log2Histogram::merge) -- including the carried
-//     history of shards that have since been restarted -- so the
-//     aggregate percentiles equal those of a histogram fed every
-//     shard's samples; pending() sums shards; shutdown() drains every
-//     shard (admitted requests all complete).
+//   * stats() merges the live shards' snapshots with ServeStats::merge
+//     (bucket-wise Log2Histogram::merge) -- plus the carried history
+//     of shards that have since been killed -- so the aggregate
+//     percentiles equal those of a histogram fed every shard's samples;
+//     pending() sums live shards; shutdown() drains every shard
+//     (admitted requests all complete).
 //
 // Health and failover
 // -------------------
@@ -44,13 +47,18 @@
 //   * kill_shard(i): crash-shaped stop (fault injection, emergency
 //     excision): the shard aborts; every request it had admitted but
 //     not yet claimed fails over -- the router resubmits it on a
-//     healthy shard before kill_shard returns.
+//     healthy shard before kill_shard returns.  The dead engine's
+//     stats are then folded into a carried accumulator, and from there
+//     on the router reads only live engines -- kills never lose
+//     history from stats().
 //   * restart_shard(i): return a drained shard to rotation, or replace
 //     a down shard with a fresh engine carrying the full model registry
 //     (including removed-model tombstones and swap version counters, so
-//     id spaces and versions stay in lockstep fleet-wide).  The dead
-//     engine's stats are folded into a carried accumulator first --
-//     restarts never lose history from stats().
+//     id spaces and versions stay in lockstep fleet-wide).
+//
+// A one-shard router is the degenerate fleet radix-served runs with
+// --shards 1: drain_shard takes its only shard out of rotation, and
+// kill_shard / restart_shard work as on any fleet.
 //
 // Failover is request-level and transparent: the router wraps every
 // submission's completion, and a completion carrying AbortedError --
@@ -187,6 +195,23 @@ class ShardRouter final : public Backend {
   /// Current health of one shard (lock-free snapshot read).
   ShardHealth shard_health(std::size_t index) const;
 
+  /// One row of the router's model registry.
+  struct ModelEntry {
+    std::shared_ptr<const infer::SparseDnn> dnn;  // current version
+    std::string name;
+    QosPolicy qos;
+    /// 1 after add_model, +1 per swap_model cutover; a rebuilt shard
+    /// replays the count so it reports the same model_version.
+    std::uint32_t version = 1;
+    bool retired = false;  // removed, or burned by a rollback
+  };
+
+  /// Registry row of `id` (retired ids included; dnn is null for them).
+  ModelEntry model_entry(ModelId id) const;
+
+  /// The whole registry, indexed by id: live and retired ids alike.
+  std::vector<ModelEntry> models() const;
+
   /// Take shard `index` out of rotation and wait for its backlog to
   /// clear (queues empty, claimed batches completed).  The shard stays
   /// alive -- restart_shard puts it back in rotation.  No-op when the
@@ -197,23 +222,23 @@ class ShardRouter final : public Backend {
   /// excision).  The shard is taken out of rotation FIRST, then
   /// aborted: requests it had admitted but not claimed fail over to
   /// healthy shards inside this call (see the file comment); claimed
-  /// batches finish.  Idempotent; restart_shard brings a replacement.
+  /// batches finish.  Its stats then move into the carried
+  /// accumulator.  Idempotent; restart_shard brings a replacement.
   void kill_shard(std::size_t index);
 
   /// Return shard `index` to rotation.  A draining shard simply
   /// re-enters rotation.  A down shard is replaced by a fresh engine
   /// that re-registers the full model registry -- ids, names, QoS,
   /// removed-model tombstones and swap version counters all match its
-  /// siblings -- after folding the dead engine's stats into the carried
-  /// accumulator.  No-op when the shard is already up.
+  /// siblings.  No-op when the shard is already up.
   void restart_shard(std::size_t index);
 
   /// Requests successfully resubmitted on another shard after their
   /// first shard aborted them.
   std::uint64_t failovers() const noexcept;
 
-  /// Aggregate per-class counters across shards (histograms merged
-  /// bucket-wise), including the carried history of since-restarted
+  /// Aggregate per-class counters across live shards (histograms
+  /// merged bucket-wise), including the carried history of killed
   /// shards -- the class-level companion of stats().  The overload
   /// harness reads interactive vs background shed counts through this.
   ServeStats class_stats(Priority p) const;
@@ -239,11 +264,12 @@ class ShardRouter final : public Backend {
   /// in rotation.
   SubmitResult submit(InferenceRequest req, SubmitOptions opts = {}) override;
 
-  /// Aggregate view across shards (histograms merged bucket-wise),
-  /// including the carried history of since-restarted shards.
+  /// Aggregate view across live shards (histograms merged bucket-wise),
+  /// including the carried history of killed shards.  While kill_shard
+  /// runs, the dying shard's share is briefly in neither place.
   ServeStats stats(ModelId model) const override;
 
-  /// Sum of the shards' pending requests for `model`.
+  /// Sum of the live shards' pending requests for `model`.
   std::size_t pending(ModelId model) const override;
 
   std::size_t num_models() const override;
@@ -267,18 +293,6 @@ class ShardRouter final : public Backend {
     std::vector<std::shared_ptr<Engine>> engines;
     std::vector<ShardHealth> health;
     std::vector<std::size_t> healthy;
-  };
-
-  // What restart_shard needs to rebuild a shard from nothing: the
-  // router-level source of truth for the model registry.  `version`
-  // counts swap_model cutovers so a rebuilt shard replays them and
-  // reports the same model_version as its siblings.
-  struct ModelEntry {
-    std::shared_ptr<const infer::SparseDnn> dnn;  // current version
-    std::string name;
-    QosPolicy qos;
-    std::uint32_t version = 1;
-    bool retired = false;  // removed, or burned by a rollback
   };
 
   struct Relay;  // failover capsule; defined in router.cpp
@@ -311,12 +325,12 @@ class ShardRouter final : public Backend {
   std::atomic<std::shared_ptr<const Fleet>> fleet_;
 
   mutable std::mutex admin_mutex_;  // serializes lifecycle + registry
+  // The registry authority; restart_shard rebuilds a shard from it.
   std::vector<ModelEntry> registry_;
   bool shutdown_ = false;
 
-  // Stats of engines that were replaced by restart_shard, merged per
-  // model id; its own mutex so stats() never waits on a drain holding
-  // admin_mutex_.
+  // Stats of engines that kill_shard stopped, merged per model id; its
+  // own mutex so stats() never waits on a drain holding admin_mutex_.
   mutable std::mutex carried_mutex_;
   std::vector<ServeStats> carried_;
 

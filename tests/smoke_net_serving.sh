@@ -8,6 +8,10 @@
 # Usage: smoke_net_serving.sh <radix-served> <radix-ctl>
 # (CTest passes the built binaries; see tests/CMakeLists.txt.)
 
+# CTest runs "bash <script>", which ignores the -e on the shebang line;
+# without this, a failing radix-ctl | grep line would not stop the test.
+set -e
+
 SERVED="$1"
 CTL="$2"
 [ -x "$SERVED" ] || { echo "FAIL: radix-served binary not found: $SERVED"; exit 1; }
@@ -79,6 +83,17 @@ echo "$METRICS" | grep -q 'radix_serve_shard_health{shard="1"}'
 "$CTL" --port "$PORT" restart 1 | grep -q "shard 1: up"
 "$CTL" --port "$PORT" kill 1 | grep -q "shard 1: down"
 "$CTL" --port "$PORT" restart 1 | grep -q "shard 1: up"
+
+# The registry verbs answer from the router, not from shard 0: a model
+# loaded while shard 0 is down is listed, served and counted, and the
+# restarted shard 0 picks it up.
+"$CTL" --port "$PORT" save model-1 "$WORKDIR/model-1.radixart" | grep -q "saved"
+"$CTL" --port "$PORT" kill 0 | grep -q "shard 0: down"
+"$CTL" --port "$PORT" load "$WORKDIR/model-1.radixart" extra | grep -q "loaded"
+"$CTL" --port "$PORT" models | grep "\<extra\>" | grep -q live
+"$CTL" --port "$PORT" infer-hash extra | grep -q "^[0-9a-f]\{16\}$"
+"$CTL" --port "$PORT" stats extra | grep -q requests
+"$CTL" --port "$PORT" restart 0 | grep -q "shard 0: up"
 
 # Wire shutdown: the daemon must drain and exit 0 on its own -- no
 # signal involved -- and report its connection ledger on the way out.

@@ -5,9 +5,14 @@
 # asserts the journal replay brings back the same model set serving
 # bit-identical outputs.  Also covers the save/load wire verbs and
 # radix-pack end to end (pack a spec, load the artifact, see it survive
-# the crash).
+# the crash), and kill/restart of the one-shard fleet's only shard (a
+# model loaded while it is down must still be journaled).
 #
 # Usage: smoke_net_store.sh <radix-served> <radix-ctl> <radix-pack>
+
+# CTest runs "bash <script>", which ignores the -e on the shebang line;
+# without this, a failing radix-ctl | grep line would not stop the test.
+set -e
 
 SERVED="$1"
 CTL="$2"
@@ -62,12 +67,23 @@ printf 'radixnet-spec v1\nsystems: 32,32 | 32,32\nD: 1,1,1,1,1\n' >"$WORKDIR/ext
 "$CTL" --port "$PORT" save model-0 "$WORKDIR/copy.radixart" | grep -q "saved"
 [ -s "$WORKDIR/copy.radixart" ] || { echo "FAIL: save verb wrote nothing"; exit 1; }
 
+# --shards 1 is a one-shard fleet: its shard can be killed and restarted.
+# A model loaded while it is down is copied into the store and journaled
+# all the same, and the restarted shard serves it.
+"$CTL" --port "$PORT" kill 0 | grep -q "shard 0: down"
+"$CTL" --port "$PORT" load "$WORKDIR/extra.radixart" late | grep -q "loaded"
+grep -q "^add[[:space:]]late[[:space:]]late\.radixart[[:space:]]" "$STORE/journal" \
+    || { cat "$STORE/journal"; echo "FAIL: model loaded while shard 0 was down was not journaled"; exit 1; }
+[ -f "$STORE/late.radixart" ] || { echo "FAIL: late artifact not copied into the store"; exit 1; }
+"$CTL" --port "$PORT" restart 0 | grep -q "shard 0: up"
+
 # Deterministic per-model output hashes: the pre-crash ground truth.
 H0="$("$CTL" --port "$PORT" infer-hash model-0)"
 H1="$("$CTL" --port "$PORT" infer-hash model-1)"
 HX="$("$CTL" --port "$PORT" infer-hash extra)"
-[ -n "$H0" ] && [ -n "$H1" ] && [ -n "$HX" ]
-echo "pre-crash hashes: model-0=$H0 model-1=$H1 extra=$HX"
+HL="$("$CTL" --port "$PORT" infer-hash late)"
+[ -n "$H0" ] && [ -n "$H1" ] && [ -n "$HX" ] && [ -n "$HL" ]
+echo "pre-crash hashes: model-0=$H0 model-1=$H1 extra=$HX late=$HL"
 
 # --- Crash: no drain, no shutdown verb -- the journal must carry it. --
 kill -9 "$SERVED_PID"
@@ -82,14 +98,17 @@ MODELS="$("$CTL" --port "$PORT" models)"
 echo "$MODELS" | grep "\<model-0\>" | grep -q interactive
 echo "$MODELS" | grep "\<model-1\>" | grep -q batch
 echo "$MODELS" | grep -q "\<extra\>"
+echo "$MODELS" | grep "\<late\>" | grep -q live
 
 R0="$("$CTL" --port "$PORT" infer-hash model-0)"
 R1="$("$CTL" --port "$PORT" infer-hash model-1)"
 RX="$("$CTL" --port "$PORT" infer-hash extra)"
-echo "post-restart hashes: model-0=$R0 model-1=$R1 extra=$RX"
+RL="$("$CTL" --port "$PORT" infer-hash late)"
+echo "post-restart hashes: model-0=$R0 model-1=$R1 extra=$RX late=$RL"
 [ "$H0" = "$R0" ] || { echo "FAIL: model-0 output changed across restart"; exit 1; }
 [ "$H1" = "$R1" ] || { echo "FAIL: model-1 output changed across restart"; exit 1; }
 [ "$HX" = "$RX" ] || { echo "FAIL: extra output changed across restart"; exit 1; }
+[ "$HL" = "$RL" ] || { echo "FAIL: late output changed across restart"; exit 1; }
 
 # A corrupt artifact must fail the boot loudly, not serve garbage:
 # flip one payload byte in model-0's artifact and expect the restart to

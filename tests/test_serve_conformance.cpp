@@ -114,9 +114,7 @@ Stack make_stack(BackendKind kind, EngineOptions engine_options = {
     substrate = s.engine.get();
   }
   if (kind == BackendKind::kRemote) {
-    net::ServerOptions options;
-    options.hooks = net::make_admin_hooks(*s.engine);
-    s.server = std::make_unique<net::Server>(*substrate, options);
+    s.server = std::make_unique<net::Server>(*substrate);
     s.remote = std::make_unique<net::RemoteBackend>(s.server->port());
     s.backend = s.remote.get();
   } else {

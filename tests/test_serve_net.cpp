@@ -1,19 +1,25 @@
 // End-to-end tests of the networked serving front-end: an in-process
-// net::Server fronting an Engine or ShardRouter, driven through
+// net::Server fronting a bare Engine (Backend verbs only, no admin
+// hooks) or a ShardRouter (with its admin hooks), driven through
 // net::RemoteBackend over a loopback socket.  The load-bearing claims:
 // remote submission is bit-exact with a direct fused forward, stats
 // fetched over the wire match the in-process snapshot EXACTLY (raw
-// histogram grids included), admin verbs round-trip, and a client that
-// disconnects mid-request orphans its responses (dropped and counted,
-// never written to a dead socket).
+// histogram grids included), admin verbs round-trip -- answered from
+// the router's registry, so they stay right while shard 0 is down --
+// and a client that disconnects mid-request orphans its responses
+// (dropped and counted, never written to a dead socket).
 #include "net/server.hpp"
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,6 +29,7 @@
 #include "radixnet/graph_challenge.hpp"
 #include "serve/engine.hpp"
 #include "serve/router.hpp"
+#include "store/artifact.hpp"
 #include "support/random.hpp"
 
 namespace radix::net {
@@ -45,6 +52,17 @@ std::vector<float> direct_forward(const infer::SparseDnn& dnn,
   const auto y = dnn.forward(input.data(), rows, ws);
   return {y.begin(), y.end()};
 }
+
+/// A scratch directory for artifacts, removed with its contents.
+struct ScratchDir {
+  std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                              ("radix_serve_net_" + std::to_string(::getpid()));
+  ScratchDir() { std::filesystem::create_directories(dir); }
+  ~ScratchDir() { std::filesystem::remove_all(dir); }
+  std::string path(const std::string& name) const {
+    return (dir / name).string();
+  }
+};
 
 /// In-process served stack: backend + server, torn down in reverse.
 struct Served {
@@ -80,9 +98,7 @@ Served engine_served(serve::EngineOptions engine_options = {.workers = 1},
   s.engine->add_model(s.dnn, "alpha",
                       {.priority = serve::Priority::kInteractive});
   s.engine->add_model(s.dnn, "beta", {.priority = serve::Priority::kBatch});
-  ServerOptions options;
-  options.hooks = make_admin_hooks(*s.engine);
-  s.server = std::make_unique<Server>(*s.backend, options);
+  s.server = std::make_unique<Server>(*s.backend);
   return s;
 }
 
@@ -211,24 +227,23 @@ TEST(ServeNet, ConcurrentCallersShareOneConnection) {
   EXPECT_EQ(remote.stats(0).requests, kThreads * kPerThread);
 }
 
+TEST(ServeNet, HooklessServerAnswersAdminVerbsUnsupported) {
+  // Admin hooks exist only for the router; a server fronting a bare
+  // Engine answers admin verbs with kError, not a crash.
+  Served s = engine_served();
+  RemoteBackend remote(s.server->port());
+  EXPECT_THROW(remote.shard_ctl(ShardVerb::kHealth), Error);
+  EXPECT_THROW(remote.list_models(), Error);
+  remote.ping();  // the connection survived the failed verbs
+}
+
 TEST(ServeNet, ShutDownBackendRejectsRemoteSubmits) {
   Served s = engine_served();
   RemoteBackend remote(s.server->port());
 
-  // Engine-backed shard_ctl: kDrain quiesces (waits for the backlog,
-  // admission stays open), so health stays kUp...
-  auto health = remote.shard_ctl(ShardVerb::kDrain, 0);
-  ASSERT_EQ(health.size(), 1u);
-  EXPECT_EQ(health[0], serve::ShardHealth::kUp);
-  // ...and restart/kill need a sharded backend: kError, not a crash.
-  EXPECT_THROW(remote.shard_ctl(ShardVerb::kRestart, 0), Error);
-  remote.ping();  // the connection survived the failed verb
-
   // Shutting the backend down closes admission; the remote caller gets
   // the rejection as a VALUE, exactly like an in-process caller.
   s.engine->shutdown();
-  EXPECT_EQ(remote.shard_ctl(ShardVerb::kHealth)[0],
-            serve::ShardHealth::kDown);
   Rng irng(75);
   const auto input = gc::synthetic_input(1, 1024, 0.4, irng);
   const auto result =
@@ -343,6 +358,86 @@ TEST(ServeNet, AdminVerbsAgainstRouter) {
   EXPECT_EQ(health[1], serve::ShardHealth::kDown);
   health = remote.shard_ctl(ShardVerb::kRestart, 1);
   EXPECT_EQ(health[1], serve::ShardHealth::kUp);
+}
+
+TEST(ServeNet, LoadWhileShardZeroDownIsListedAndSavable) {
+  // A model loaded while shard 0 is down is listed, served and savable:
+  // the registry verbs answer from the router, not from shard 0.
+  Served s = router_served(2);
+  RemoteBackend remote(s.server->port());
+  ScratchDir scratch;
+  const auto extra = make_dnn(1024, 4, 83);
+  store::save_artifact(scratch.path("extra.radixart"), *extra, "extra");
+
+  EXPECT_EQ(remote.shard_ctl(ShardVerb::kKill, 0)[0],
+            serve::ShardHealth::kDown);
+  const serve::ModelId id = remote.load_model(scratch.path("extra.radixart"));
+  EXPECT_EQ(id, 1u);
+  const auto models = remote.list_models();
+  ASSERT_EQ(models.size(), 2u);
+  EXPECT_EQ(models[1].id, id);
+  EXPECT_EQ(models[1].name, "extra");
+  EXPECT_FALSE(models[1].retired);
+  EXPECT_EQ(models[1].input_width, 1024u);
+  EXPECT_EQ(models[1].version, 1u);
+
+  Rng irng(84);
+  const auto input = gc::synthetic_input(2, 1024, 0.4, irng);
+  const auto want = direct_forward(*extra, input, 2);
+  EXPECT_EQ(remote.submit(serve::InferenceRequest::owned(id, input, 2)).get(),
+            want);
+  EXPECT_GT(remote.save_model(id, scratch.path("saved.radixart")), 0u);
+  store::ArtifactReader saved(scratch.path("saved.radixart"));
+  EXPECT_EQ(saved.name(), "extra");
+  EXPECT_EQ(direct_forward(saved.instantiate(), input, 2), want);
+}
+
+TEST(ServeNet, SwapWhileShardZeroDownListsAndSavesTheNewVersion) {
+  // Shard 0 misses a swap while it is down; the registry verbs report
+  // the new version and save the new weights, not shard 0's stale ones.
+  Served s = router_served(2);
+  RemoteBackend remote(s.server->port());
+  (void)remote.shard_ctl(ShardVerb::kKill, 0);
+  const auto v2 = make_dnn(1024, 4, 85);
+  s.router->swap_model(0, v2);
+
+  const auto models = remote.list_models();
+  ASSERT_EQ(models.size(), 1u);
+  EXPECT_EQ(models[0].version, 2u);
+
+  ScratchDir scratch;
+  (void)remote.save_model(0, scratch.path("alpha.radixart"));
+  Rng irng(86);
+  const auto input = gc::synthetic_input(2, 1024, 0.4, irng);
+  const auto want = direct_forward(*v2, input, 2);
+  ASSERT_NE(want, direct_forward(*s.dnn, input, 2))
+      << "the two versions must be distinguishable";
+  EXPECT_EQ(direct_forward(
+                store::ArtifactReader(scratch.path("alpha.radixart"))
+                    .instantiate(),
+                input, 2),
+            want);
+}
+
+TEST(ServeNet, ListModelsKeepsRemovedIds) {
+  // The listing covers every registered id -- num_models() counts only
+  // live ones, so it cannot bound the listing.
+  Served s = router_served(2);  // "alpha" is id 0
+  s.router->add_model(make_dnn(1024, 4, 87), "beta");
+  s.router->add_model(make_dnn(1024, 4, 88), "gamma");
+  s.router->remove_model(0);
+  RemoteBackend remote(s.server->port());
+
+  const auto models = remote.list_models();
+  ASSERT_EQ(models.size(), 3u);
+  for (serve::ModelId id = 0; id < models.size(); ++id) {
+    EXPECT_EQ(models[id].id, id);
+  }
+  EXPECT_EQ(models[0].name, "alpha");
+  EXPECT_TRUE(models[0].retired);
+  EXPECT_EQ(models[2].name, "gamma");
+  EXPECT_FALSE(models[2].retired);
+  EXPECT_EQ(models[2].input_width, 1024u);
 }
 
 TEST(ServeNet, ClientDisconnectOrphansLateResponses) {

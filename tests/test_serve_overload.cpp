@@ -297,6 +297,10 @@ TEST(ServeOverload, FailoverCarriesRemainingDeadlineNotAFreshBudget) {
   // resubmission, which would serve the request fresh.
   clock.advance(11ms);
   std::thread killer([&] { router.kill_shard(victim_shard); });
+  // Hold virtual time until the abort has pulled the victim out of the
+  // dead shard's queue and failed it over: advancing first lets that
+  // shard's worker wake at 20ms and claim the victim before the kill.
+  ASSERT_TRUE(eventually([&] { return router.failovers() >= 1; }));
   // kill_shard joins the dead shard's worker, which is parked in its
   // injected wait: walk virtual time forward until the join returns.
   ASSERT_TRUE(eventually([&] {

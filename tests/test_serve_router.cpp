@@ -501,5 +501,49 @@ TEST(ShardRouter, RestartReplaysRegistryAndCarriesStats) {
       << "a removed model must stay removed across restarts";
 }
 
+TEST(ShardRouter, ModelAddedWhileShardDownIsServedAndRestartRejoins) {
+  // A killed engine never learns of models added after its death, so
+  // stats(b), pending(b) and restart_shard must not ask it about b --
+  // and the killed shard's earlier history must still be counted.
+  const auto d_a = make_dnn(1024, 2, 108);
+  const auto d_b = make_dnn(1024, 2, 109);
+  ShardRouter router({.shards = 2, .engine = {.workers = 1}});
+  const auto a = router.add_model(d_a, "a");
+  Rng irng(110);
+  const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(router.submit(InferenceRequest::borrowed(a, x, 1)).get(),
+              direct_forward(*d_a, x, 1));
+  }
+
+  router.kill_shard(0);
+  const auto b = router.add_model(d_b, "b");
+  const auto want = direct_forward(*d_b, x, 1);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(router.submit(InferenceRequest::borrowed(b, x, 1)).get(), want);
+  }
+  EXPECT_EQ(router.stats(b).requests, 6u);
+  EXPECT_EQ(router.pending(b), 0u);
+  EXPECT_EQ(router.stats(a).requests, 4u) << "a killed shard's history is lost";
+
+  router.restart_shard(0);
+  EXPECT_EQ(router.shard_health(0), ShardHealth::kUp);
+  EXPECT_EQ(router.shard(0).find_model("b").value(), b);
+  EXPECT_EQ(router.stats(b).requests, 6u) << "stats(b) jumped on restart";
+  EXPECT_EQ(router.stats(a).requests, 4u);
+
+  // b is served on both shards: hold shard 1 out of rotation so the
+  // rebuilt shard 0 takes the next requests.
+  router.drain_shard(1);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(router.submit(InferenceRequest::borrowed(b, x, 1)).get(), want);
+  }
+  router.restart_shard(1);
+  EXPECT_EQ(router.shard(0).stats(b).requests, 5u);
+  EXPECT_EQ(router.shard(1).stats(b).requests, 6u);
+  EXPECT_EQ(router.stats(b).requests, 11u);
+  EXPECT_EQ(router.stats(b).errors, 0u);
+}
+
 }  // namespace
 }  // namespace radix::serve

@@ -1,11 +1,13 @@
 // radix-served: the networked serving daemon.
 //
-// Builds a Graph-Challenge model fleet, stands an Engine (--shards 1)
-// or a ShardRouter (--shards N) behind the epoll front-end
-// (net/server.hpp), prints "LISTENING <port>" once the socket is
-// bound (scripts parse that line -- with --port 0 it is the only way
-// to learn the ephemeral port), and serves until radix-ctl sends the
-// shutdown verb (or SIGTERM/SIGINT arrives).
+// Builds a Graph-Challenge model fleet, stands a ShardRouter of
+// --shards engines behind the epoll front-end (net/server.hpp), prints
+// "LISTENING <port>" once the socket is bound (scripts parse that line
+// -- with --port 0 it is the only way to learn the ephemeral port), and
+// serves until radix-ctl sends the shutdown verb (or SIGTERM/SIGINT
+// arrives).  --shards 1 is a one-shard fleet, not a different backend:
+// `drain 0` takes it out of rotation, and `kill 0` / `restart 0` work
+// as on any fleet.
 //
 //   radix-served --port 0 --shards 2 --workers 1 --models 2 &
 //   radix-ctl --port <port> models
@@ -33,7 +35,6 @@
 #include "infer/sparse_dnn.hpp"
 #include "net/server.hpp"
 #include "radixnet/graph_challenge.hpp"
-#include "serve/engine.hpp"
 #include "serve/router.hpp"
 #include "store/artifact.hpp"
 #include "store/journal.hpp"
@@ -55,7 +56,7 @@ void handle_signal(int) { g_signaled = 1; }
 int main(int argc, char** argv) {
   Args args;
   args.add_flag("port", "0", "TCP port on 127.0.0.1 (0 = ephemeral)");
-  args.add_flag("shards", "2", "engine shards (1 = single engine)");
+  args.add_flag("shards", "2", "engine shards (1 = one-shard fleet)");
   args.add_flag("workers", "1", "worker threads per shard");
   args.add_flag("models", "2", "models to register");
   args.add_flag("neurons", "1024", "challenge network width");
@@ -74,38 +75,16 @@ int main(int argc, char** argv) {
   }
 
   try {
-    serve::EngineOptions engine_options;
-    engine_options.workers =
+    serve::ShardRouterOptions router_options;
+    router_options.shards = static_cast<std::size_t>(args.get_int("shards"));
+    router_options.engine.workers =
         static_cast<unsigned>(args.get_int("workers"));
-    engine_options.queue_capacity =
+    router_options.engine.queue_capacity =
         static_cast<std::size_t>(args.get_int("queue-capacity"));
+    serve::ShardRouter router(router_options);
+    net::AdminHooks hooks = net::make_admin_hooks(router);
 
-    const auto shards = static_cast<std::size_t>(args.get_int("shards"));
     const auto models = static_cast<std::size_t>(args.get_int("models"));
-
-    std::unique_ptr<serve::Engine> engine;
-    std::unique_ptr<serve::ShardRouter> router;
-    serve::Backend* backend = nullptr;
-    net::AdminHooks hooks;
-    if (shards <= 1) {
-      engine = std::make_unique<serve::Engine>(engine_options);
-      backend = engine.get();
-      hooks = net::make_admin_hooks(*engine);
-    } else {
-      serve::ShardRouterOptions router_options;
-      router_options.shards = shards;
-      router_options.engine = engine_options;
-      router = std::make_unique<serve::ShardRouter>(router_options);
-      backend = router.get();
-      hooks = net::make_admin_hooks(*router);
-    }
-
-    const auto register_model =
-        [&](std::shared_ptr<const infer::SparseDnn> m, const std::string& n,
-            serve::QosPolicy qos) {
-          return engine ? engine->add_model(std::move(m), n, qos)
-                        : router->add_model(std::move(m), n, qos);
-        };
     const auto build_defaults = [&](auto&& place) {
       // place(dnn, name, qos) for each default model; model-0 is
       // interactive class, the rest batch, so the per-class stats verbs
@@ -129,7 +108,9 @@ int main(int argc, char** argv) {
     std::mutex journal_mutex;  // hooks run on concurrent submit workers
     if (store_dir.empty()) {
       build_defaults([&](const auto& dnn, const std::string& n,
-                         serve::QosPolicy qos) { register_model(dnn, n, qos); });
+                         serve::QosPolicy qos) {
+        router.add_model(dnn, n, qos);
+      });
     } else {
       std::filesystem::create_directories(store_dir);
       journal = std::make_unique<store::RegistryJournal>(store_dir);
@@ -140,7 +121,7 @@ int main(int argc, char** argv) {
         // warm.
         build_defaults([&](const auto& dnn, const std::string& n,
                            serve::QosPolicy qos) {
-          register_model(dnn, n, qos);
+          router.add_model(dnn, n, qos);
           const std::string file = n + ".radixart";
           store::save_artifact(store_dir + "/" + file, *dnn, n);
           journal->append({store::JournalOp::kAdd, n, file,
@@ -161,7 +142,7 @@ int main(int argc, char** argv) {
               std::make_shared<const infer::SparseDnn>(reader.instantiate());
           serve::QosPolicy qos;
           qos.priority = static_cast<serve::Priority>(ev.priority);
-          register_model(std::move(dnn), ev.model, qos);
+          router.add_model(std::move(dnn), ev.model, qos);
         }
         std::printf("radix-served: warm restart from %s (%zu models)\n",
                     store_dir.c_str(), live.size());
@@ -173,8 +154,8 @@ int main(int argc, char** argv) {
       hooks.load_model = [&, inner_load](const std::string& path,
                                          const std::string& name) {
         const serve::ModelId id = inner_load(path, name);
-        const serve::Engine& reg = engine ? *engine : router->shard(0);
-        const std::string n = reg.model_name(id);
+        const auto entry = router.model_entry(id);
+        const std::string& n = entry.name;
         const std::string file = n + ".radixart";
         std::error_code ec;
         std::filesystem::copy_file(
@@ -183,7 +164,7 @@ int main(int argc, char** argv) {
         std::scoped_lock lock(journal_mutex);
         journal->append(
             {store::JournalOp::kAdd, n, ec ? path : file,
-             static_cast<std::uint8_t>(reg.model_priority(id))});
+             static_cast<std::uint8_t>(entry.qos.priority)});
         return id;
       };
     }
@@ -194,7 +175,7 @@ int main(int argc, char** argv) {
     server_options.submit_workers =
         static_cast<std::size_t>(args.get_int("submit-workers"));
     server_options.hooks = std::move(hooks);
-    net::Server server(*backend, server_options);
+    net::Server server(router, server_options);
 
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
@@ -206,7 +187,7 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     server.stop();
-    backend->shutdown();
+    router.shutdown();
     std::printf("radix-served: drained (%llu connections, "
                 "%llu orphaned responses)\n",
                 static_cast<unsigned long long>(server.connections_accepted()),
