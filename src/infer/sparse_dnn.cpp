@@ -88,10 +88,16 @@ std::uint64_t SparseDnn::total_nnz() const noexcept {
 }
 
 index_t SparseDnn::max_width() const noexcept {
-  // Panels only ever hold layer *outputs*; the input batch is read from
-  // the caller's buffer in place and never copied into a panel.
+  // Activation panels only ever hold layer *outputs*; the input batch is
+  // read from the caller's buffer in place and never copied into one.
   index_t w = 0;
   for (const auto& l : views_) w = std::max(w, l.cols());
+  return w;
+}
+
+index_t SparseDnn::max_input_width() const noexcept {
+  index_t w = 0;
+  for (const auto& l : views_) w = std::max(w, l.rows());
   return w;
 }
 
@@ -109,7 +115,7 @@ void SparseDnn::prewarm(const WorkspaceHint& hint) const {
   // prewarming may race concurrent forward calls safely.
   for (std::size_t k = 0; k < views_.size(); ++k) (void)transposed(k);
   if (hint.workspace != nullptr) {
-    hint.workspace->reserve(hint.max_batch, max_width());
+    hint.workspace->reserve(hint.max_batch, max_width(), max_input_width());
     // forward() reserves the dispatch trace lazily; doing it here keeps
     // the first post-prewarm pass allocation-free.
     if (hint.workspace->dispatch_.capacity() < views_.size()) {
@@ -129,7 +135,7 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
   RADIX_REQUIRE(!workspace.owns(input),
                 "SparseDnn::forward: input must not alias the workspace "
                 "panels");
-  workspace.reserve(batch, max_width());
+  workspace.reserve(batch, max_width(), max_input_width());
   workspace.dispatch_.clear();
   if (workspace.dispatch_.capacity() < views_.size()) {
     workspace.dispatch_.reserve(views_.size());
@@ -164,13 +170,15 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
                : spmm_dense_csrT_fused_uniform(cur, batch, w.rows(),
                                                transposed(k),
                                                uniform_weight_[k], dst,
-                                               biases_[k], clamp_);
+                                               biases_[k], clamp_,
+                                               workspace.pack());
     } else {
       nz = choice == Kernel::kScatter
                ? spmm_dense_csr_fused(cur, batch, w.rows(), w, dst,
                                       biases_[k], clamp_)
                : spmm_dense_csrT_fused(cur, batch, w.rows(), transposed(k),
-                                       dst, biases_[k], clamp_);
+                                       dst, biases_[k], clamp_,
+                                       workspace.pack());
     }
     workspace.dispatch_.push_back({choice, density, nz});
     cur = dst;

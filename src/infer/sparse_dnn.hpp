@@ -26,9 +26,13 @@
 //     instead of scattering read-modify-write traffic.
 //
 // Activations live in a caller-provided InferenceWorkspace: two
-// ping-pong panels sized once to batch x max_layer_width, so a forward
-// pass performs zero heap allocations and never copies the input batch
-// in steady state (the first pass may build transposed layers).
+// ping-pong panels sized once to batch x max_layer_width, plus the
+// gather arm's pack panel (batch x widest layer input), so a forward
+// pass performs zero heap allocations in steady state (the first pass
+// may build transposed layers).  Layer 0 reads the caller's batch in
+// place; the only copies of activations are the gather arm's packs,
+// which re-lay each block of up to 8 input rows batch-interleaved so a
+// W^T entry costs one contiguous load (sparse/spmm.hpp).
 // Concurrent forward calls on one SparseDnn instance are safe as long
 // as each caller brings its own workspace (the lazy transpose cache is
 // mutex-guarded).
@@ -66,8 +70,17 @@ namespace radix::infer {
 /// Activation-density crossover of the adaptive dispatch.  Below it the
 /// scatter arm's zero-activation row skip saves more weight traffic than
 /// the gather arm's sequential streaming recovers; above it the gather
-/// arm wins.  Empirical on the bench host (see BENCH_pr2.json); the
-/// exact value is uncritical within ~2x.
+/// arm wins.  Re-measured on a 4-core Xeon with the batch-interleaved
+/// gather kernel: each layer of a Graph-Challenge net run alone with
+/// each arm forced at a set input density, times summed over the net.
+/// The gather/scatter time ratio reaches 1 at these input densities:
+///
+///                batch 1      batch 8      batch 64
+///   1024 x 12    0.30         0.20-0.25    0.25
+///   4096 x 24    0.30-0.40    0.25         0.25
+///
+/// So 0.25 sits on the batched crossover; one-row batches would be
+/// served best by about 0.3-0.4.
 inline constexpr double kGatherDensityThreshold = 0.25;
 
 /// What SparseDnn::prewarm should make ready ahead of the first
@@ -131,7 +144,8 @@ class SparseDnn {
 
   /// Widest activation panel a forward pass writes: the max over layer
   /// output widths.  The input batch is read in place, never staged in
-  /// a panel, so the input width does not participate.
+  /// an activation panel, so the input width does not participate (it
+  /// does size the gather arm's pack panel).
   index_t max_width() const noexcept;
 
   /// Pay every one-time cost up front so the *first* forward call is
@@ -146,10 +160,11 @@ class SparseDnn {
 
   /// Zero-allocation forward: runs the full stack over the row-major
   /// [batch x input_width] batch at `input` using the workspace's
-  /// ping-pong panels.  The returned span of final activations
-  /// [batch x output_width] aliases workspace memory and stays valid
-  /// until the workspace is next written.  The input batch is read in
-  /// place, never copied.
+  /// ping-pong panels (and its pack panel on gather layers).  The
+  /// returned span of final activations [batch x output_width] aliases
+  /// workspace memory and stays valid until the workspace is next
+  /// written.  The input batch is read in place, never staged in an
+  /// activation panel.
   std::span<const float> forward(const float* input, index_t batch,
                                  InferenceWorkspace& workspace,
                                  InferenceStats* stats = nullptr) const;
@@ -168,6 +183,9 @@ class SparseDnn {
  private:
   void validate_and_index();
   const Csr<float>& transposed(std::size_t k) const;
+  /// Widest layer input (layer 0's input width included): the width of
+  /// the gather arm's pack panel.
+  index_t max_input_width() const noexcept;
 
   // Owned layers (empty when borrowing); views_ is the single source of
   // truth the hot path iterates -- one view per layer, pointing either

@@ -1,13 +1,16 @@
 // Reusable activation workspace for the sparse DNN inference engine.
 //
-// A forward pass needs exactly two activation panels of
-// batch x max_layer_width floats: layer k reads one panel (or, for the
-// first layer, the caller's input batch directly) and writes the other,
-// ping-ponging down the stack.  InferenceWorkspace owns those panels and
-// grows them monotonically, so a caller that reuses one workspace across
-// repeated forward calls of the same shape performs zero heap
-// allocations and zero input copies in steady state -- the property the
-// Graph-Challenge edges/second metric rewards.
+// A forward pass needs two activation panels of batch x max_layer_width
+// floats: layer k reads one panel (or, for the first layer, the caller's
+// input batch directly) and writes the other, ping-ponging down the
+// stack.  A third panel of batch x widest-layer-input floats (layer 0's
+// input width included) is the gather arm's pack space: that kernel
+// copies each block of up to 8 input rows into it batch-interleaved
+// before streaming the layer (see spmm_dense_csrT_fused).
+// InferenceWorkspace owns all three and grows them monotonically, so a
+// caller that reuses one workspace across repeated forward calls of the
+// same shape performs zero heap allocations in steady state -- the
+// property the Graph-Challenge edges/second metric rewards.
 //
 // The workspace also records, per layer of the last forward pass, which
 // kernel the adaptive dispatch chose and the activation density that
@@ -17,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sparse/types.hpp"
@@ -41,13 +45,17 @@ class InferenceWorkspace {
  public:
   InferenceWorkspace() = default;
 
-  /// Ensure capacity for two batch x max_width panels.  Growth-only:
-  /// shrinking requests keep the larger buffers, so alternating shapes
-  /// never thrash the allocator.
-  void reserve(index_t batch, index_t max_width);
+  /// Ensure capacity for two batch x max_width activation panels and a
+  /// batch x max_input_width pack panel.  Growth-only: shrinking
+  /// requests keep the larger buffers, so alternating shapes never
+  /// thrash the allocator.
+  void reserve(index_t batch, index_t max_width, index_t max_input_width);
 
   /// Floats per activation panel currently allocated.
   std::size_t capacity() const noexcept { return buf_[0].size(); }
+
+  /// Floats in the gather arm's pack panel currently allocated.
+  std::size_t pack_capacity() const noexcept { return pack_size_; }
 
   /// Pin every layer to one kernel arm (tests / benchmarking); kAuto
   /// restores the density heuristic.
@@ -78,8 +86,13 @@ class InferenceWorkspace {
   friend class SparseDnn;
 
   float* panel(int i) noexcept { return buf_[i].data(); }
+  float* pack() noexcept { return pack_.get(); }
 
   std::vector<float> buf_[2];
+  // The kernels write every pack entry before reading it, so the pack
+  // panel skips the zero-fill a vector would do.
+  std::unique_ptr<float[]> pack_;
+  std::size_t pack_size_ = 0;
   std::vector<LayerDispatch> dispatch_;
   Kernel forced_ = Kernel::kAuto;
 };

@@ -1,6 +1,7 @@
 #include "sparse/spmm.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "support/error.hpp"
 #include "support/parallel.hpp"
@@ -14,8 +15,14 @@ namespace {
 // chains are independent, so out-of-order execution hides the FP-add
 // latency that serializes a one-row-at-a-time kernel.  The tile's
 // activations stay register/L1-resident across the inner row loop.
-// 8 was measured fastest on the bench host (4 leaves add-latency
-// unhidden, 16 spills accumulators).
+// 8 was measured fastest on the bench host while the gather arm loaded
+// each entry's activations from kBatchTile separate rows (4 leaves
+// add-latency unhidden, 16 spills accumulators).  That note no longer
+// describes the gather arm, which now reads one batch-interleaved slice
+// per entry (csrT_fused_block): on a 4-core Xeon a 16-row gather tile
+// ran one 4096-wide Graph-Challenge layer at batch 64 in about half
+// the time of the 8-row tile.  Both arms share this width; it stays 8
+// until the scatter arm is re-measured with it.
 constexpr index_t kBatchTile = 8;
 
 // The Graph-Challenge epilogue.  Kept as two independent ifs (not
@@ -104,27 +111,40 @@ std::uint64_t csr_fused_impl(const float* x, index_t batch, index_t m,
 
 // One J-row block of the fused gather kernel: J independent accumulator
 // chains over W^T's row r, epilogue applied in registers.  J is a
-// compile-time constant so the inner loops fully unroll.
+// compile-time constant so the inner loops fully unroll.  For J > 1 the
+// block's input rows are first packed batch-interleaved into
+// pack[b0*m ...] as xp[c*J + j] = x[(b0 + j)*m + c], so each W^T entry
+// reads one contiguous J-float slice instead of J rows m floats apart;
+// J = 1 reads x in place (the two layouts coincide).  Each lane still
+// sums in ascending k order, so the packing never changes a bit.
 template <bool kUniform, int J>
 std::uint64_t csrT_fused_block(const float* x, index_t b0, index_t m,
                                index_t n, std::span<const offset_t> rowptr,
                                std::span<const index_t> colind,
                                std::span<const float> vals, float scale,
-                               float* y, float bias, float clamp) {
-  const float* xb[J];
-  for (int j = 0; j < J; ++j) {
-    xb[j] = x + static_cast<std::size_t>(b0 + j) * m;
+                               float* y, float bias, float clamp,
+                               float* pack) {
+  const float* xp = x + static_cast<std::size_t>(b0) * m;
+  if constexpr (J > 1) {
+    float* p = pack + static_cast<std::size_t>(b0) * m;
+    for (index_t c = 0; c < m; ++c) {
+      for (int j = 0; j < J; ++j) {
+        p[static_cast<std::size_t>(c) * J + j] =
+            xp[static_cast<std::size_t>(j) * m + c];
+      }
+    }
+    xp = p;
   }
   std::uint64_t nz = 0;
   for (index_t r = 0; r < n; ++r) {
     float acc[J] = {};
     for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
-      const index_t c = colind[k];
+      const float* xc = xp + static_cast<std::size_t>(colind[k]) * J;
       if constexpr (kUniform) {
-        for (int j = 0; j < J; ++j) acc[j] += xb[j][c];
+        for (int j = 0; j < J; ++j) acc[j] += xc[j];
       } else {
         const float v = vals[k];
-        for (int j = 0; j < J; ++j) acc[j] += xb[j][c] * v;
+        for (int j = 0; j < J; ++j) acc[j] += xc[j] * v;
       }
     }
     for (int j = 0; j < J; ++j) {
@@ -143,11 +163,12 @@ std::uint64_t csrT_fused_block(const float* x, index_t b0, index_t m,
 // step down through 4/2/1-row blocks rather than collapsing to the
 // serial chain.  Every accumulator sums in ascending input-index order
 // -- the same order the scatter arm adds contributions -- so both arms
-// are bit-identical.
+// are bit-identical.  Block rows [b, b+J) pack at pack[b*m ...], so
+// concurrent tiles never share pack space.
 template <bool kUniform>
 std::uint64_t csrT_fused_impl(const float* x, index_t batch, index_t m,
                               CsrFloatView wt, float scale, float* y,
-                              float bias, float clamp) {
+                              float bias, float clamp, float* pack) {
   RADIX_REQUIRE_DIM(wt.cols() == m,
                     "spmm_dense_csrT_fused: inner dim mismatch");
   const index_t n = wt.rows();  // output width
@@ -167,26 +188,39 @@ std::uint64_t csrT_fused_impl(const float* x, index_t batch, index_t m,
         std::uint64_t nz = 0;
         while (b1 - b >= 8) {
           nz += csrT_fused_block<kUniform, 8>(x, b, m, n, rowptr, colind,
-                                              vals, scale, y, bias, clamp);
+                                              vals, scale, y, bias, clamp,
+                                              pack);
           b += 8;
         }
         if (b1 - b >= 4) {
           nz += csrT_fused_block<kUniform, 4>(x, b, m, n, rowptr, colind,
-                                              vals, scale, y, bias, clamp);
+                                              vals, scale, y, bias, clamp,
+                                              pack);
           b += 4;
         }
         if (b1 - b >= 2) {
           nz += csrT_fused_block<kUniform, 2>(x, b, m, n, rowptr, colind,
-                                              vals, scale, y, bias, clamp);
+                                              vals, scale, y, bias, clamp,
+                                              pack);
           b += 2;
         }
         if (b1 - b == 1) {
           nz += csrT_fused_block<kUniform, 1>(x, b, m, n, rowptr, colind,
-                                              vals, scale, y, bias, clamp);
+                                              vals, scale, y, bias, clamp,
+                                              pack);
         }
         return nz;
       },
       grain_for_cost(ops_per_tile));
+}
+
+// Per-call pack space for the overloads that take none: batch x m
+// floats, left uninitialized (every block writes its slice before
+// reading it).  Batches of one row never pack, so they allocate nothing.
+std::unique_ptr<float[]> gather_pack(index_t batch, index_t m) {
+  if (batch < 2) return nullptr;
+  return std::make_unique_for_overwrite<float[]>(
+      static_cast<std::size_t>(batch) * static_cast<std::size_t>(m));
 }
 
 }  // namespace
@@ -251,9 +285,17 @@ std::uint64_t spmm_dense_csr_fused(const float* x, index_t batch, index_t m,
 
 std::uint64_t spmm_dense_csrT_fused(const float* x, index_t batch,
                                     index_t m, CsrFloatView wt,
-                                    float* y, float bias, float clamp) {
+                                    float* y, float bias, float clamp,
+                                    float* pack) {
   return csrT_fused_impl<false>(x, batch, m, wt, /*scale=*/1.0f, y, bias,
-                                clamp);
+                                clamp, pack);
+}
+
+std::uint64_t spmm_dense_csrT_fused(const float* x, index_t batch,
+                                    index_t m, CsrFloatView wt,
+                                    float* y, float bias, float clamp) {
+  const auto pack = gather_pack(batch, m);
+  return spmm_dense_csrT_fused(x, batch, m, wt, y, bias, clamp, pack.get());
 }
 
 std::uint64_t spmm_dense_csr_fused_uniform(const float* x, index_t batch,
@@ -267,9 +309,19 @@ std::uint64_t spmm_dense_csr_fused_uniform(const float* x, index_t batch,
 std::uint64_t spmm_dense_csrT_fused_uniform(const float* x, index_t batch,
                                             index_t m, CsrFloatView wt,
                                             float uniform_weight, float* y,
-                                            float bias, float clamp) {
+                                            float bias, float clamp,
+                                            float* pack) {
   return csrT_fused_impl<true>(x, batch, m, wt, uniform_weight, y, bias,
-                               clamp);
+                               clamp, pack);
+}
+
+std::uint64_t spmm_dense_csrT_fused_uniform(const float* x, index_t batch,
+                                            index_t m, CsrFloatView wt,
+                                            float uniform_weight, float* y,
+                                            float bias, float clamp) {
+  const auto pack = gather_pack(batch, m);
+  return spmm_dense_csrT_fused_uniform(x, batch, m, wt, uniform_weight, y,
+                                       bias, clamp, pack.get());
 }
 
 std::uint64_t count_nonzeros(const float* v, std::size_t n) {

@@ -376,6 +376,51 @@ TEST(SparseDnnFused, PrewarmMakesFirstForwardZeroAllocation) {
   EXPECT_EQ(g_alloc_count.load(), 0u);
 }
 
+TEST(SparseDnnFused, PackPanelCoversWidestLayerInput) {
+  // The gather arm packs each layer's input rows into the workspace's
+  // pack panel.  In a funnel stack layer 0's input (256) is wider than
+  // every output (64), so a pack panel sized by max_width() would be
+  // too small for layer 0 (an out-of-bounds write under ASan).  Batch
+  // 13 = 8 + 4 + 1 packs an 8-row and a 4-row block at rows 0 and 8.
+  Rng rng(41);
+  std::vector<Csr<float>> layers = {random_layer(256, 64, 0.1, rng),
+                                    random_layer(64, 64, 0.3, rng),
+                                    random_layer(64, 64, 0.3, rng)};
+  infer::SparseDnn dnn(layers, std::vector<float>{0.05f, 0.02f, 0.01f},
+                       2.0f);
+  ASSERT_EQ(dnn.max_width(), 64u);
+  Rng irng(42);
+  const index_t batch = 13;
+  const auto x = random_input(batch, 256, 0.6, irng);
+
+  infer::InferenceWorkspace ws;
+  ws.force_kernel(infer::Kernel::kGather);
+  dnn.prewarm({.max_batch = batch, .workspace = &ws});
+  EXPECT_EQ(ws.pack_capacity(), static_cast<std::size_t>(batch) * 256);
+
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  const auto y = dnn.forward(x.data(), batch, ws);
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0u)
+      << "first forward after prewarm must not allocate";
+  for (const auto& d : ws.last_dispatch()) {
+    EXPECT_EQ(d.chosen, infer::Kernel::kGather);
+  }
+  const std::vector<float> gathered(y.begin(), y.end());
+  EXPECT_GT(std::count_if(gathered.begin(), gathered.end(),
+                          [](float v) { return v != 0.0f; }),
+            0);
+
+  infer::InferenceWorkspace scatter_ws;
+  scatter_ws.force_kernel(infer::Kernel::kScatter);
+  expect_bit_exact(dnn.forward(x.data(), batch, scatter_ws), gathered,
+                   "gather-vs-scatter");
+  expect_bit_exact(gathered,
+                   straight_forward(layers, dnn.biases(), 2.0f, x, batch),
+                   "gather-vs-reference");
+}
+
 TEST(SparseDnnFused, WorkspaceGrowsMonotonically) {
   Rng rng(23);
   std::vector<Csr<float>> layers = {random_layer(8, 32, 0.5, rng)};

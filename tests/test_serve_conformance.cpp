@@ -261,13 +261,15 @@ TEST_P(BackendConformance, FailFastOnFullQueueRejectsAsValue) {
     if (result.admitted()) admitted.push_back(result.take_future());
   }
   bool rejected = false;
+  // Admitted 1-row requests borrow `one` too, so their futures are kept
+  // and drained with the rest before `one` goes out of scope.
   const auto one = gc::synthetic_input(1, 1024, 0.4, irng);
   for (int i = 0; i < 200 && !rejected; ++i) {
     auto result =
         s.get().submit(InferenceRequest::borrowed(s.model, one, 1),
                        {.admission = Admission::kFailFast});
     if (result.admitted()) {
-      (void)result.take_future();
+      admitted.push_back(result.take_future());
     } else {
       rejected = true;
     }

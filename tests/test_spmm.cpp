@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "sparse/coo.hpp"
@@ -201,6 +206,85 @@ TEST(Spmm, FusedUniformArmsAgreeBitExact) {
                                                  b.data(), -0.1f, 0.5f);
   EXPECT_EQ(nza, nzb);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
+}
+
+// Bitwise comparison: EXPECT_EQ on floats would let -0.0f match 0.0f.
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want,
+                      const std::string& tag) {
+  ASSERT_EQ(got.size(), want.size()) << tag;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << tag << " at " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+TEST(Spmm, GatherPackBitExactAtEveryBlockStep) {
+  // The gather arm packs 8/4/2-row blocks batch-interleaved and reads
+  // one-row blocks in place; batches 1..17 and 63..65 hit every step of
+  // that ladder.  Non-square layer (m != n), negative non-uniform
+  // weights; the uniform kernels run over the same pattern.
+  Rng rng(18);
+  const index_t m = 37, n = 29;
+  const auto w = random_csr(m, n, 0.3, rng);
+  Coo<float> ucoo(m, n);
+  for (index_t r = 0; r < m; ++r) {
+    for (offset_t k = w.rowptr()[r]; k < w.rowptr()[r + 1]; ++k) {
+      ucoo.push(r, w.colind()[k], 0.0625f);
+    }
+  }
+  const auto uw = Csr<float>::from_coo(ucoo);
+  const auto wt = w.transpose();
+  const auto uwt = uw.transpose();
+  const float bias = 0.05f, clamp = 0.7f;
+  const float poison = std::numeric_limits<float>::quiet_NaN();
+
+  std::vector<index_t> batches;
+  for (index_t b = 1; b <= 17; ++b) batches.push_back(b);
+  for (index_t b : {63u, 64u, 65u}) batches.push_back(b);
+  for (const index_t batch : batches) {
+    const std::string tag = "batch " + std::to_string(batch);
+    auto x = random_dense(static_cast<std::size_t>(batch) * m, rng);
+    for (std::size_t i = 0; i < x.size(); i += 5) x[i] = 0.0f;
+    const std::size_t out = static_cast<std::size_t>(batch) * n;
+    const std::size_t pack_floats = static_cast<std::size_t>(batch) * m;
+
+    // General kernels: scatter is the reference.
+    std::vector<float> want(out), got(out, -1.0f), got_pack(out, -2.0f);
+    const auto want_nz = spmm_dense_csr_fused(x.data(), batch, m, w,
+                                              want.data(), bias, clamp);
+    const auto nz = spmm_dense_csrT_fused(x.data(), batch, m, wt,
+                                          got.data(), bias, clamp);
+    // Caller pack poisoned with NaN: any pack entry read before the
+    // kernel wrote it would poison an output.
+    std::vector<float> pack(pack_floats, poison);
+    const auto nz_pack = spmm_dense_csrT_fused(
+        x.data(), batch, m, wt, got_pack.data(), bias, clamp, pack.data());
+    EXPECT_EQ(nz, want_nz) << tag;
+    EXPECT_EQ(nz_pack, want_nz) << tag;
+    expect_same_bits(got, want, tag + " gather");
+    expect_same_bits(got_pack, want, tag + " gather, caller pack");
+    if (batch == 1) {
+      // A one-row block reads x in place and never touches the pack.
+      for (float v : pack) ASSERT_NE(v, v) << tag;
+    }
+
+    // Uniform kernels: the same, against the uniform scatter arm.
+    std::vector<float> uwant(out), ugot(out, -1.0f), ugot_pack(out, -2.0f);
+    const auto uwant_nz = spmm_dense_csr_fused_uniform(
+        x.data(), batch, m, uw, 0.0625f, uwant.data(), bias, clamp);
+    const auto unz = spmm_dense_csrT_fused_uniform(
+        x.data(), batch, m, uwt, 0.0625f, ugot.data(), bias, clamp);
+    std::fill(pack.begin(), pack.end(), poison);
+    const auto unz_pack = spmm_dense_csrT_fused_uniform(
+        x.data(), batch, m, uwt, 0.0625f, ugot_pack.data(), bias, clamp,
+        pack.data());
+    EXPECT_EQ(unz, uwant_nz) << tag;
+    EXPECT_EQ(unz_pack, uwant_nz) << tag;
+    expect_same_bits(ugot, uwant, tag + " uniform gather");
+    expect_same_bits(ugot_pack, uwant, tag + " uniform gather, caller pack");
+  }
 }
 
 TEST(Spmm, CountNonzeros) {
