@@ -164,18 +164,20 @@ void RemoteBackend::fail_all(const std::string& reason) {
     }
     cv_.notify_all();
   }
-  for (auto& entry : to_fail) {
-    const auto error = std::make_exception_ptr(
-        IoError("radix-served connection lost: " + reason));
-    serve::RequestTiming timing;
-    if (entry->done) {
-      try {
-        entry->done({}, timing, error);
-      } catch (...) {
-      }
-    } else {
-      entry->promise->set_exception(error);
+  for (auto& entry : to_fail) fail_admitted(*entry, reason);
+}
+
+void RemoteBackend::fail_admitted(Pending& entry, const std::string& reason) {
+  const auto error = std::make_exception_ptr(
+      IoError("radix-served connection lost: " + reason));
+  serve::RequestTiming timing;
+  if (entry.done) {
+    try {
+      entry.done({}, timing, error);
+    } catch (...) {
     }
+  } else {
+    entry.promise->set_exception(error);
   }
 }
 
@@ -202,7 +204,9 @@ Frame RemoteBackend::rpc(MsgType type, std::span<const std::uint8_t> body,
   std::unique_lock lock(mutex_);
   cv_.wait(lock, [&] { return entry->resp.has_value() || entry->failed; });
   pending_.erase(correlation);
-  if (entry->failed) {
+  // The reader may store the response and then hit EOF (fail_all) before
+  // this waiter wakes: a response that arrived is still the answer.
+  if (!entry->resp) {
     throw IoError("radix-served connection lost: " + entry->fail_reason);
   }
   Frame resp = std::move(*entry->resp);
@@ -253,7 +257,9 @@ SubmitResult RemoteBackend::submit(serve::InferenceRequest req,
 
   std::unique_lock lock(mutex_);
   cv_.wait(lock, [&] { return entry->resp.has_value() || entry->failed; });
-  if (entry->failed) {
+  // As in rpc(): an ack that arrived is honoured even when the
+  // connection died right after it.
+  if (!entry->resp) {
     pending_.erase(correlation);
     cv_.notify_all();
     throw IoError("radix-served connection lost: " + entry->fail_reason);
@@ -277,11 +283,16 @@ SubmitResult RemoteBackend::submit(serve::InferenceRequest req,
   const serve::RequestId id = r.u64();
   entry->ack_handled = true;
   entry->admitted = admitted;
+  // fail_all skipped this entry while its ack was unhandled, so an
+  // admission whose result can no longer arrive completes here, once.
+  const bool lost = admitted && entry->failed && !entry->result_delivered;
+  if (lost) entry->result_delivered = true;
   if (!admitted || entry->result_delivered) pending_.erase(correlation);
   cv_.notify_all();
   lock.unlock();
 
   if (!admitted) return SubmitResult::rejected();
+  if (lost) fail_admitted(*entry, entry->fail_reason);
   if (entry->done) return SubmitResult::admitted_callback(id);
   return SubmitResult::admitted_future(std::move(fut), id);
 }

@@ -22,6 +22,8 @@
 //   * Connection loss fails every in-flight request with IoError -- NOT
 //     AbortedError: the socket dying cannot prove the server never
 //     executed the request, so a failover layer must not blind-retry.
+//     A response or ack that arrived before the loss still counts: an
+//     admitted submit whose result never came completes with IoError.
 //
 // shutdown() is LOCAL: it stops admission on this client, waits for
 // in-flight completions (drain -- the admitted-implies-completed
@@ -112,6 +114,9 @@ class RemoteBackend final : public serve::Backend {
   void reader_loop();
   /// Fail every outstanding entry with `reason` (connection loss).
   void fail_all(const std::string& reason);
+  /// Complete an admitted submit whose result can no longer arrive with
+  /// the connection-lost IoError (never under mutex_: runs user code).
+  static void fail_admitted(Pending& entry, const std::string& reason);
   void deliver_result(std::shared_ptr<Pending> entry, const Frame& frame);
 
   Fd fd_;

@@ -314,6 +314,10 @@ void Server::accept_new() {
 }
 
 bool Server::handle_readable(const std::shared_ptr<Connection>& conn) {
+  // Frames that arrived before the peer's EOF are still requests: they
+  // are queued before the close is honoured, so whether they run does
+  // not depend on whether the EOF came in the same read burst.
+  bool open = true;
   for (;;) {
     IoStatus status;
     try {
@@ -321,7 +325,10 @@ bool Server::handle_readable(const std::shared_ptr<Connection>& conn) {
     } catch (const IoError&) {
       return false;
     }
-    if (status == IoStatus::kClosed) return false;
+    if (status == IoStatus::kClosed) {
+      open = false;
+      break;
+    }
     if (status == IoStatus::kWouldBlock) break;
     if (conn->inbuf.size() > 2 * kMaxFrameBytes) return false;
   }
@@ -334,7 +341,7 @@ bool Server::handle_readable(const std::shared_ptr<Connection>& conn) {
   } catch (const IoError&) {
     return false;  // corrupt framing: protocol violation, drop the peer
   }
-  return true;
+  return open;
 }
 
 bool Server::handle_writable(const std::shared_ptr<Connection>& conn) {

@@ -9,6 +9,8 @@
 //     nonblocking writes drain a per-connection output queue, arming
 //     EPOLLOUT only while bytes are actually pending.  Partial reads,
 //     partial writes and EINTR are the normal case here, not errors.
+//     Complete frames that arrived before a peer's EOF are queued
+//     before the connection closes, however the reads were batched.
 //   * A small SUBMIT POOL executes the decoded verbs.  Inference
 //     submissions go through the backend's bounded-wait admission path:
 //     a client asking Admission::kBlock gets the block CLAMPED to a

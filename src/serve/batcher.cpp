@@ -34,7 +34,6 @@ std::size_t MicroBatcher::add_model(QosPolicy policy) {
   RADIX_REQUIRE(static_cast<std::size_t>(policy.priority) < kNumPriorities,
                 "MicroBatcher: invalid priority class");
   auto slot = std::make_unique<ModelSlot>();
-  slot->queue = std::make_unique<Queue>(options_.queue_capacity, monitor_);
   slot->policy = policy;
   slots_.push_back(std::move(slot));
   const std::size_t id = slots_.size() - 1;
@@ -73,7 +72,7 @@ void MicroBatcher::drain_model(std::size_t model) {
   RADIX_REQUIRE(model < slots_.size(), "MicroBatcher: unknown model id");
   ModelSlot& slot = *slots_[model];
   monitor_.cv.wait(lock, [&] {
-    return slot.queue->empty_locked() && slot.inflight == 0;
+    return slot.queue.empty() && slot.inflight == 0;
   });
 }
 
@@ -81,7 +80,7 @@ void MicroBatcher::quiesce() {
   std::unique_lock lock(monitor_.mutex);
   monitor_.cv.wait(lock, [&] {
     for (const auto& slot : slots_) {
-      if (!slot->queue->empty_locked() || slot->inflight != 0) return false;
+      if (!slot->queue.empty() || slot->inflight != 0) return false;
     }
     return true;
   });
@@ -105,12 +104,9 @@ std::vector<std::pair<std::size_t, Request>> MicroBatcher::abort() {
   std::unique_lock lock(monitor_.mutex);
   closed_ = true;
   for (std::size_t m = 0; m < slots_.size(); ++m) {
-    Queue& q = *slots_[m]->queue;
-    q.close_locked();
-    while (!q.empty_locked()) {
-      orphans.emplace_back(m, std::move(q.front_locked()));
-      q.pop_front_locked();
-    }
+    std::deque<Request>& q = slots_[m]->queue;
+    for (Request& r : q) orphans.emplace_back(m, std::move(r));
+    q.clear();
   }
   queued_total_ = 0;
   monitor_.cv.notify_all();
@@ -133,11 +129,11 @@ bool MicroBatcher::shed_for_pressure_locked(std::size_t model,
     Clock::time_point newest{};
     for (std::size_t c = kNumPriorities; c-- > incoming + 1;) {
       for (std::size_t m : classes_[c].members) {
-        Queue& q = *slots_[m]->queue;
-        if (q.empty_locked()) continue;
-        if (victim == kNone || q.back_locked().enqueued >= newest) {
+        const std::deque<Request>& q = slots_[m]->queue;
+        if (q.empty()) continue;
+        if (victim == kNone || q.back().enqueued >= newest) {
           victim = m;
-          newest = q.back_locked().enqueued;
+          newest = q.back().enqueued;
         }
       }
       if (victim != kNone) break;
@@ -145,9 +141,9 @@ bool MicroBatcher::shed_for_pressure_locked(std::size_t model,
     // No lower class backlogged: the incoming request is itself the
     // lowest-value work at this instant, so it is the one shed.
     if (victim == kNone) return true;
-    Queue& q = *slots_[victim]->queue;
-    shed->emplace_back(victim, std::move(q.back_locked()));
-    q.pop_back_locked();
+    std::deque<Request>& q = slots_[victim]->queue;
+    shed->emplace_back(victim, std::move(q.back()));
+    q.pop_back();
     --queued_total_;
   }
   return false;
@@ -169,7 +165,7 @@ bool MicroBatcher::push_locked(std::size_t model, Request&& r,
     shed->emplace_back(model, std::move(r));
     return true;
   }
-  slots_[model]->queue->push_locked(std::move(r));
+  slots_[model]->queue.push_back(std::move(r));
   ++queued_total_;
   monitor_.cv.notify_all();
   return true;
@@ -180,9 +176,8 @@ bool MicroBatcher::submit(std::size_t model, Request&& r, ShedList* shed) {
   RADIX_REQUIRE(model < slots_.size(), "MicroBatcher: unknown model id");
   r.submitted = clock_->now();
   ModelSlot& slot = *slots_[model];
-  Queue& q = *slot.queue;
   monitor_.cv.wait(
-      lock, [&] { return closed_ || slot.retired || !q.full_locked(); });
+      lock, [&] { return closed_ || slot.retired || !full_locked(slot); });
   if (closed_ || slot.retired) return false;
   return push_locked(model, std::move(r), shed);
 }
@@ -200,18 +195,17 @@ bool MicroBatcher::submit_for(std::size_t model, Request&& r,
   RADIX_REQUIRE(model < slots_.size(), "MicroBatcher: unknown model id");
   r.submitted = clock_->now();
   ModelSlot& slot = *slots_[model];
-  Queue& q = *slot.queue;
   if (timeout.count() > 0) {
     const auto deadline = clock_->now() + timeout;
-    while (!closed_ && !slot.retired && q.full_locked()) {
+    while (!closed_ && !slot.retired && full_locked(slot)) {
       if (clock_->wait_until(monitor_, lock, deadline) ==
               std::cv_status::timeout &&
-          q.full_locked()) {
+          full_locked(slot)) {
         break;  // deadline reached with no space: admission failure
       }
     }
   }
-  if (closed_ || slot.retired || q.full_locked()) return false;
+  if (closed_ || slot.retired || full_locked(slot)) return false;
   return push_locked(model, std::move(r), shed);
 }
 
@@ -220,7 +214,7 @@ std::size_t MicroBatcher::pick_model_locked() {
   bool any = false;
   for (std::size_t c = 0; c < kNumPriorities; ++c) {
     for (std::size_t m : classes_[c].members) {
-      if (!slots_[m]->queue->empty_locked()) {
+      if (!slots_[m]->queue.empty()) {
         has[c] = true;
         any = true;
         break;
@@ -259,20 +253,20 @@ std::size_t MicroBatcher::pick_in_class_locked(ClassState& cls) {
   // Idle queues bank no credit: fairness divides rows among backlogged
   // models only, and debt is forgiven once a queue fully drains.
   for (std::size_t m : cls.members) {
-    if (slots_[m]->queue->empty_locked()) slots_[m]->deficit = 0;
+    if (slots_[m]->queue.empty()) slots_[m]->deficit = 0;
   }
   // A model can afford a claim when its banked rows cover its head
   // request (capped at its row budget: an oversize head ships alone
   // anyway, and the cap keeps the replenish arithmetic bounded).
   const auto cost_of = [&](const ModelSlot& s) {
-    return std::min<std::int64_t>(s.queue->front_locked().rows,
+    return std::min<std::int64_t>(s.queue.front().rows,
                                   s.policy.max_batch_rows);
   };
   for (;;) {
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t at = (cls.cursor + i) % n;
       ModelSlot& s = *slots_[cls.members[at]];
-      if (s.queue->empty_locked()) continue;
+      if (s.queue.empty()) continue;
       if (s.deficit >= cost_of(s)) {
         cls.cursor = (at + 1) % n;
         return cls.members[at];
@@ -285,7 +279,7 @@ std::size_t MicroBatcher::pick_in_class_locked(ClassState& cls) {
     std::int64_t rounds = -1;
     for (std::size_t m : cls.members) {
       const ModelSlot& s = *slots_[m];
-      if (s.queue->empty_locked()) continue;
+      if (s.queue.empty()) continue;
       const std::int64_t need = cost_of(s) - s.deficit;
       const std::int64_t w = s.policy.weight;
       const std::int64_t r = (need + w - 1) / w;
@@ -294,7 +288,7 @@ std::size_t MicroBatcher::pick_in_class_locked(ClassState& cls) {
     RADIX_ASSERT(rounds > 0, "MicroBatcher: WDRR replenish must progress");
     for (std::size_t m : cls.members) {
       ModelSlot& s = *slots_[m];
-      if (!s.queue->empty_locked()) {
+      if (!s.queue.empty()) {
         s.deficit += rounds * static_cast<std::int64_t>(s.policy.weight);
       }
     }
@@ -317,7 +311,7 @@ bool MicroBatcher::next(Batch& out) {
     out.clear();
     out.model = pick;
     out.priority = slot.policy.priority;
-    Queue& q = *slot.queue;
+    std::deque<Request>& q = slot.queue;
     const auto is_expired = [](const Request& r, Clock::time_point now) {
       // "now >= deadline" so a request expiring exactly at its deadline
       // is shed, never dispatched.
@@ -326,14 +320,14 @@ bool MicroBatcher::next(Batch& out) {
     const auto take_fitting = [&] {
       bool popped = false;
       const auto now = clock_->now();
-      while (!q.empty_locked()) {
-        Request& r = q.front_locked();
+      while (!q.empty()) {
+        Request& r = q.front();
         // A request whose end-to-end deadline has passed is claimed as
         // shed work, not forward work: it costs no rows and does not
         // end the FIFO scan -- the next live request may still fit.
         if (is_expired(r, now)) {
           out.expired.push_back(std::move(r));
-          q.pop_front_locked();
+          q.pop_front();
           --queued_total_;
           popped = true;
           continue;
@@ -344,7 +338,7 @@ bool MicroBatcher::next(Batch& out) {
         if (!out.requests.empty() && out.rows + r.rows > max_rows) break;
         out.rows += r.rows;
         out.requests.push_back(std::move(r));
-        q.pop_front_locked();
+        q.pop_front();
         --queued_total_;
         popped = true;
       }
@@ -407,7 +401,6 @@ bool MicroBatcher::next(Batch& out) {
 void MicroBatcher::close() {
   std::unique_lock lock(monitor_.mutex);
   closed_ = true;
-  for (auto& slot : slots_) slot->queue->close_locked();
   monitor_.cv.notify_all();
 }
 
@@ -419,7 +412,7 @@ bool MicroBatcher::closed() const {
 std::size_t MicroBatcher::pending(std::size_t model) const {
   std::unique_lock lock(monitor_.mutex);
   RADIX_REQUIRE(model < slots_.size(), "MicroBatcher: unknown model id");
-  return slots_[model]->queue->size_locked();
+  return slots_[model]->queue.size();
 }
 
 const float* BatchAssembly::assemble(const MicroBatcher::Batch& batch,

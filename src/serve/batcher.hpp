@@ -6,8 +6,9 @@
 // batches, but production traffic arrives as many small asynchronous
 // requests from clients with very different latency needs.  The
 // MicroBatcher bridges the two: producers push Requests into per-model
-// bounded queues (serve/queue.hpp, all sharing one Monitor), and each
-// consumer (engine worker) calls next(), which
+// bounded FIFO queues (plain deques, all guarded by the batcher's one
+// Monitor, so a consumer waits once for "any model has work"), and
+// each consumer (engine worker) calls next(), which
 //
 //   1. picks the model to serve by the QoS claim policy (below);
 //   2. greedily pops FIFO requests while the running row total fits in
@@ -77,13 +78,13 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "serve/qos.hpp"
-#include "serve/queue.hpp"
 #include "serve/request.hpp"
 #include "sparse/types.hpp"
 #include "support/thread.hpp"
@@ -265,12 +266,10 @@ class MicroBatcher {
   ClockSource& clock() const noexcept { return *clock_; }
 
  private:
-  using Queue = BoundedMpmcQueue<Request>;
-
+  // Held by unique_ptr in slots_ so the vector can grow while workers
+  // hold references into live slots.
   struct ModelSlot {
-    // unique_ptr members so the slots vector can grow while workers
-    // hold references into live slots.
-    std::unique_ptr<Queue> queue;
+    std::deque<Request> queue;  // FIFO; full at options_.queue_capacity
     QosPolicy policy;           // fully resolved at add_model
     std::int64_t deficit = 0;   // banked rows (WDRR credit)
     bool retired = false;       // admission closed for this model only
@@ -289,6 +288,9 @@ class MicroBatcher {
   /// starvation counters and, within the chosen class, the WDRR state.
   std::size_t pick_model_locked();
   std::size_t pick_in_class_locked(ClassState& cls);
+  bool full_locked(const ModelSlot& slot) const noexcept {
+    return slot.queue.size() >= options_.queue_capacity;
+  }
   bool push_locked(std::size_t model, Request&& r, ShedList* shed);
   /// Enforce shed_capacity before admitting a request for `model`:
   /// pops pressure victims into `shed`.  Returns true when the incoming

@@ -20,6 +20,18 @@ std::int64_t nanos_of(std::chrono::steady_clock::time_point tp) {
       .count();
 }
 
+// The one place a DoneFn runs: an exception escaping a completion
+// callback is the caller's bug, and must not take down the worker (and
+// with it every other in-flight request) or the sweep delivering it.
+void deliver(const DoneFn& done, std::span<const float> output,
+             const RequestTiming& timing, std::exception_ptr error) noexcept {
+  if (!done) return;
+  try {
+    done(output, timing, std::move(error));
+  } catch (...) {
+  }
+}
+
 BatcherOptions batcher_options(const EngineOptions& o) {
   BatcherOptions b;
   b.queue_capacity = o.queue_capacity;
@@ -354,47 +366,61 @@ SubmitResult Engine::submit(InferenceRequest req, SubmitOptions opts) {
                    static_cast<std::uint32_t>(req.model), st->priority,
                    static_cast<std::uint32_t>(req.rows));
   }
-  complete_shed(shed);
+  if (!shed.empty()) {
+    const auto now = batcher_.clock().now();
+    for (auto& [model, victim] : shed) {
+      complete_unserved(Unserved::kShed, model, victim, now);
+    }
+  }
   if (!admitted) return SubmitResult::rejected();
   return callback ? SubmitResult::admitted_callback(rid)
                   : SubmitResult::admitted_future(std::move(future), rid);
 }
 
-void Engine::complete_shed(MicroBatcher::ShedList& shed) {
-  if (shed.empty()) return;
-  const auto now = batcher_.clock().now();
-  for (auto& [model, r] : shed) {
-    const auto st = state(model);
-    StatsCollector& cls =
-        class_stats_[static_cast<std::size_t>(st->priority)];
-    RequestTiming timing;
-    timing.queue_seconds = seconds_between(r.submitted, now);
-    timing.total_seconds = timing.queue_seconds;
-    timing.request_id = r.id;
-    // A shed request IS a completed request of this engine: it counts
-    // into requests/errors/shed on both the model and class ledgers,
-    // and its wait lands in the latency tails.
-    st->stats->record_shed(timing.queue_seconds, timing.total_seconds,
-                           /*expired=*/false);
-    cls.record_shed(timing.queue_seconds, timing.total_seconds, false);
-    if (options_.tracer) {
-      options_.tracer->record_at(nanos_of(now), r.id, TraceEventKind::kShed,
-                                 options_.shard_index,
-                                 static_cast<std::uint32_t>(model),
-                                 st->priority,
-                                 static_cast<std::uint32_t>(r.rows));
-    }
-    if (r.done) {
-      try {
-        r.done({}, timing,
-               std::make_exception_ptr(DeadlineExceededError(
-                   "request shed under queue pressure")));
-      } catch (...) {
-        // DoneFn contract: escaping exceptions are swallowed.
-      }
-    }
+void Engine::complete_unserved(Unserved why, std::size_t model,
+                               const Request& r, ClockSource::time_point now) {
+  const auto st = state(model);
+  RequestTiming timing;
+  timing.queue_seconds = seconds_between(r.submitted, now);
+  timing.total_seconds = timing.queue_seconds;
+  timing.request_id = r.id;
+  // An unserved request IS a completed request of this engine: it counts
+  // into requests and errors, and its wait lands in the latency tails.
+  // Recorded before the completion runs, like a served one.
+  std::exception_ptr error;
+  switch (why) {
+    case Unserved::kShed:
+      st->stats->record_shed(timing.queue_seconds, timing.total_seconds,
+                             /*expired=*/false);
+      error = std::make_exception_ptr(
+          DeadlineExceededError("request shed under queue pressure"));
+      break;
+    case Unserved::kExpired:
+      st->stats->record_shed(timing.queue_seconds, timing.total_seconds,
+                             /*expired=*/true);
+      error = std::make_exception_ptr(DeadlineExceededError(
+          "end-to-end deadline passed before the request was claimed"));
+      break;
+    case Unserved::kAborted:
+      // The shard's own ledger records the abort as an error even when a
+      // router retry later serves the request elsewhere: per-shard stats
+      // count what THIS engine did with its admissions.  No trace event:
+      // the router's kFailover (or the caller's error) tells that story.
+      st->stats->record_request(timing.queue_seconds, timing.total_seconds,
+                                /*error=*/true);
+      error = std::make_exception_ptr(
+          AbortedError("engine aborted before the request was claimed"));
+      break;
   }
-  shed.clear();
+  if (options_.tracer && why != Unserved::kAborted) {
+    options_.tracer->record_at(
+        nanos_of(now), r.id,
+        why == Unserved::kShed ? TraceEventKind::kShed
+                               : TraceEventKind::kExpired,
+        options_.shard_index, static_cast<std::uint32_t>(model),
+        st->priority, static_cast<std::uint32_t>(r.rows));
+  }
+  deliver(r.done, {}, timing, std::move(error));
 }
 
 ServeStats Engine::stats(ModelId id) const {
@@ -404,7 +430,14 @@ ServeStats Engine::stats(ModelId id) const {
 ServeStats Engine::class_stats(Priority p) const {
   RADIX_REQUIRE(static_cast<std::size_t>(p) < kNumPriorities,
                 "Engine: invalid priority class");
-  return class_stats_[static_cast<std::size_t>(p)].snapshot();
+  // Derived from the per-model ledgers: retired slots keep their
+  // collectors, so a removed model's history stays in its class.
+  const auto reg = models_.load(std::memory_order_acquire);
+  ServeStats merged;
+  for (const auto& st : *reg) {
+    if (st->priority == p) merged.merge(st->stats->snapshot());
+  }
+  return merged;
 }
 
 std::size_t Engine::pending(ModelId id) const {
@@ -426,29 +459,7 @@ void Engine::stop(bool abort_queued) {
     auto orphans = batcher_.abort();
     const auto now = batcher_.clock().now();
     for (auto& [model, r] : orphans) {
-      const auto st = state(model);
-      StatsCollector& cls =
-          class_stats_[static_cast<std::size_t>(st->priority)];
-      RequestTiming timing;
-      timing.queue_seconds = seconds_between(r.submitted, now);
-      timing.total_seconds = timing.queue_seconds;
-      timing.request_id = r.id;
-      // The shard's own ledger records the abort as an error even when
-      // a router retry later serves the request elsewhere: per-shard
-      // stats count what THIS engine did with its admissions.
-      st->stats->record_request(timing.queue_seconds, timing.total_seconds,
-                                true);
-      cls.record_request(timing.queue_seconds, timing.total_seconds, true);
-      if (r.done) {
-        try {
-          r.done({}, timing,
-                 std::make_exception_ptr(AbortedError(
-                     "engine aborted before the request was claimed")));
-        } catch (...) {
-          // Same contract as worker-side completion: a throwing DoneFn
-          // must not take down the abort sweep.
-        }
-      }
+      complete_unserved(Unserved::kAborted, model, r, now);
     }
     workers_.join_all();
   });
@@ -474,8 +485,6 @@ void Engine::worker_loop(std::size_t worker_index) {
     // One snapshot resolve per claimed batch: every row of this batch
     // is served by this version, so a swap can never split a batch.
     const auto st = state(batch.model);
-    StatsCollector& cls =
-        class_stats_[static_cast<std::size_t>(batch.priority)];
     const auto claimed = clock.now();
     const std::uint32_t model32 = static_cast<std::uint32_t>(batch.model);
     // The claim timestamp is taken once and reused for every member
@@ -486,29 +495,8 @@ void Engine::worker_loop(std::size_t worker_index) {
     // completed FIRST -- before any injected latency or forward work --
     // with DeadlineExceededError.  They never touch a workspace; their
     // only cost was queue residency.
-    for (Request& r : batch.expired) {
-      const double qs = seconds_between(r.submitted, claimed);
-      st->stats->record_shed(qs, qs, /*expired=*/true);
-      cls.record_shed(qs, qs, true);
-      if (tracer) {
-        tracer->record_at(t_claim, r.id, TraceEventKind::kExpired, shard,
-                          model32, batch.priority,
-                          static_cast<std::uint32_t>(r.rows));
-      }
-      RequestTiming timing;
-      timing.queue_seconds = qs;
-      timing.total_seconds = qs;
-      timing.request_id = r.id;
-      if (r.done) {
-        try {
-          r.done({}, timing,
-                 std::make_exception_ptr(DeadlineExceededError(
-                     "end-to-end deadline passed before the request "
-                     "was claimed")));
-        } catch (...) {
-          // DoneFn contract: escaping exceptions are swallowed.
-        }
-      }
+    for (const Request& r : batch.expired) {
+      complete_unserved(Unserved::kExpired, batch.model, r, claimed);
     }
     if (batch.rows == 0) {
       // Pure-expired claim: nothing live to serve.
@@ -566,21 +554,18 @@ void Engine::worker_loop(std::size_t worker_index) {
 
     // Record stats BEFORE delivering completions: a caller that wakes
     // on its future and immediately reads stats() must already see its
-    // own request counted.  Batches and requests land in the model's
-    // collector and in its service class's aggregate.
+    // own request counted.  The model's collector is the one ledger;
+    // class_stats() is derived from it.
     if (!error) {
       st->stats->record_batch(batch.rows, fstats.edges_processed,
                               fstats.wall_seconds);
-      cls.record_batch(batch.rows, fstats.edges_processed,
-                       fstats.wall_seconds);
     }
     // Latencies anchor at `submitted` (submit entry), not `enqueued`
     // (admission), so time spent blocked on a full queue is reported.
     for (const Request& r : batch.requests) {
-      const double qs = seconds_between(r.submitted, claimed);
-      const double ts = seconds_between(r.submitted, finished);
-      st->stats->record_request(qs, ts, error != nullptr);
-      cls.record_request(qs, ts, error != nullptr);
+      st->stats->record_request(seconds_between(r.submitted, claimed),
+                                seconds_between(r.submitted, finished),
+                                error != nullptr);
     }
 
     // Scatter per-request output rows back to callers: requests were
@@ -607,16 +592,7 @@ void Engine::worker_loop(std::size_t worker_index) {
                              static_cast<std::size_t>(r.rows) *
                                  st->output_width);
       }
-      if (r.done) {
-        try {
-          r.done(rows_out, timing, error);
-        } catch (...) {
-          // A throwing completion callback must not take down the
-          // worker (and with it every other in-flight request); the
-          // DoneFn contract documents that escaping exceptions are
-          // swallowed here.
-        }
-      }
+      deliver(r.done, rows_out, timing, error);
       row0 += r.rows;
     }
     // Claim retired: what remove_model's drain and quiesce() wait on.
@@ -643,7 +619,7 @@ void Engine::export_metrics(MetricsRegistry& registry) const {
   const std::string shard = std::to_string(options_.shard_index);
   for (std::size_t i = 0; i < kNumPriorities; ++i) {
     const auto p = static_cast<Priority>(i);
-    const ServeStats s = class_stats_[i].snapshot();
+    const ServeStats s = class_stats(p);
     const MetricLabels labels{{"class", std::string(to_string(p))},
                               {"shard", shard}};
     registry.set_counter("radix_serve_requests_total", labels,

@@ -25,7 +25,7 @@
 //   engine.submit(InferenceRequest::owned(chat, std::move(buf), n),
 //                 {.admission = Admission::kFailFast, .done = cb});
 //   engine.stats(chat);                 // per-model edges/s, p99s
-//   engine.class_stats(Priority::kInteractive);  // per-class view
+//   engine.class_stats(Priority::kInteractive);  // merge over the class
 //   engine.shutdown();                  // drains in-flight requests
 //
 // Design notes
@@ -49,6 +49,12 @@
 //   * add_model prewarms the model (SparseDnn::prewarm): the lazily
 //     transposed gather-arm layers are built once, up front and shared,
 //     so the first served request does not pay one-time construction.
+//   * Each admitted request is stored once (its model's queue in the
+//     batcher), recorded once (its model's StatsCollector -- the class
+//     view is a merge of those) and completed once: by the worker that
+//     served it, or through the one unserved exit (pressure shed,
+//     expired deadline, abort orphan).  A throwing DoneFn is swallowed
+//     at the one place completions run.
 //   * Completion runs on the worker thread: callback completion
 //     (SubmitOptions::done) gets a zero-copy span into the batch output
 //     panel; future completion copies the request's rows out.  Batch
@@ -219,7 +225,8 @@ class Engine final : public Backend {
   /// on an aborted engine, which the router's failover trace path does.
   Priority model_priority(ModelId id) const { return state(id)->priority; }
 
-  /// Aggregate counters for one service class across its models.
+  /// Aggregate counters for one service class: the merge of stats(id)
+  /// over every id of that class, removed ones included.
   ServeStats class_stats(Priority p) const;
 
   /// Requests queued (not yet claimed) across this engine's models of
@@ -292,10 +299,19 @@ class Engine final : public Backend {
   std::shared_ptr<const ModelState> state(ModelId id) const;
   /// Copy-edit-publish helper; caller holds models_mutex_.
   void publish_locked(ModelId id, std::shared_ptr<const ModelState> st);
-  /// Complete pressure-shed victims with DeadlineExceededError and
-  /// record them (model + class `shed` counters).  Runs on the
-  /// submitting thread, outside the batcher monitor.
-  void complete_shed(MicroBatcher::ShedList& shed);
+
+  /// Why an admitted request leaves without being served.
+  enum class Unserved : std::uint8_t {
+    kShed,     ///< pressure-shed at admission (DeadlineExceededError)
+    kExpired,  ///< deadline passed before claim (DeadlineExceededError)
+    kAborted,  ///< queued when abort() ran (AbortedError)
+  };
+  /// The one exit for unserved requests: record `r` on its model's
+  /// ledger (queue wait == e2e == now - submitted), trace kShed /
+  /// kExpired (aborts leave no event), then run its completion with the
+  /// reason's error.  Runs outside the batcher monitor.
+  void complete_unserved(Unserved why, std::size_t model, const Request& r,
+                         ClockSource::time_point now);
   void stop(bool abort_queued);
   QosPolicy resolve_qos(QosPolicy qos) const;
   void worker_loop(std::size_t worker_index);
@@ -305,9 +321,6 @@ class Engine final : public Backend {
 
   mutable std::mutex models_mutex_;  // serializes registry mutations
   std::atomic<std::shared_ptr<const Registry>> models_;
-
-  // Per-class aggregation across models (workers record into both).
-  std::array<StatsCollector, kNumPriorities> class_stats_;
 
   // Live gauge behind export_metrics: workers inside a claimed batch.
   std::atomic<unsigned> busy_workers_{0};

@@ -373,6 +373,14 @@ std::size_t ShardRouter::pick_shard(const Fleet& fleet, ModelId model) const {
              : a;
 }
 
+std::size_t ShardRouter::untried_shard(const Fleet& fleet,
+                                       std::uint64_t tried) {
+  for (const std::size_t s : fleet.healthy) {
+    if (((tried >> s) & 1u) == 0) return s;
+  }
+  return kNoShard;
+}
+
 bool ShardRouter::dispatch(const Fleet& fleet, std::size_t index,
                            const std::shared_ptr<Relay>& relay,
                            Admission admission) {
@@ -435,12 +443,7 @@ bool ShardRouter::failover(const std::shared_ptr<Relay>& relay) {
   // the caller.
   for (;;) {
     const auto f = fleet();
-    std::size_t index = kNoShard;
-    for (const std::size_t s : f->healthy) {
-      if ((relay->tried >> s) & 1u) continue;
-      index = s;
-      break;
-    }
+    const std::size_t index = untried_shard(*f, relay->tried);
     if (index == kNoShard) return false;
     if (dispatch(*f, index, relay, Admission::kBlock)) {
       failovers_.fetch_add(1, std::memory_order_relaxed);
@@ -501,12 +504,7 @@ SubmitResult ShardRouter::submit(InferenceRequest req, SubmitOptions opts) {
     // in-rotation shards this request has not tried yet.
     if (f->engines[index]->accepting()) break;
     f = fleet();
-    index = kNoShard;
-    for (const std::size_t s : f->healthy) {
-      if ((relay->tried >> s) & 1u) continue;
-      index = s;
-      break;
-    }
+    index = untried_shard(*f, relay->tried);
   }
   return SubmitResult::rejected();
 }
@@ -529,22 +527,18 @@ ServeStats ShardRouter::stats(ModelId model) const {
 ServeStats ShardRouter::class_stats(Priority p) const {
   RADIX_REQUIRE(static_cast<std::size_t>(p) < kNumPriorities,
                 "ShardRouter: invalid priority class");
-  ServeStats merged;
+  // The class's ids (registry_ keeps a removed model's QoS), copied
+  // under the lock; stats() then brings each id's live shards and
+  // carried history, so killed shards stay in their class.
+  std::vector<ModelId> ids;
   {
-    // Carried per-model histories are folded in by class membership
-    // (registry_ keeps a removed model's QoS).  Lock order matches
-    // kill_shard: admin before carried.
-    std::scoped_lock lock(admin_mutex_, carried_mutex_);
-    for (ModelId m = 0; m < registry_.size() && m < carried_.size(); ++m) {
-      if (registry_[m].qos.priority == p) merged.merge(carried_[m]);
+    std::scoped_lock lock(admin_mutex_);
+    for (ModelId m = 0; m < registry_.size(); ++m) {
+      if (registry_[m].qos.priority == p) ids.push_back(m);
     }
   }
-  const auto f = fleet();
-  for (std::size_t s = 0; s < f->engines.size(); ++s) {
-    if (f->health[s] != ShardHealth::kDown) {
-      merged.merge(f->engines[s]->class_stats(p));
-    }
-  }
+  ServeStats merged;
+  for (const ModelId m : ids) merged.merge(stats(m));
   return merged;
 }
 

@@ -237,10 +237,10 @@ class ShardRouter final : public Backend {
   /// first shard aborted them.
   std::uint64_t failovers() const noexcept;
 
-  /// Aggregate per-class counters across live shards (histograms
-  /// merged bucket-wise), including the carried history of killed
-  /// shards -- the class-level companion of stats().  The overload
-  /// harness reads interactive vs background shed counts through this.
+  /// The merge of stats(m) over every registry id of class `p`, removed
+  /// ids included -- so it carries killed shards' history exactly as
+  /// stats() does.  The overload harness reads interactive vs
+  /// background shed counts through this.
   ServeStats class_stats(Priority p) const;
 
   /// Merged fleet view for the export surface: every live shard's
@@ -306,6 +306,9 @@ class ShardRouter final : public Backend {
   void replay_registry_locked(Engine& engine) const;
   /// Two-choice pick among fleet.healthy; SIZE_MAX when none.
   std::size_t pick_shard(const Fleet& fleet, ModelId model) const;
+  /// First of fleet.healthy not set in the `tried` bitmap; SIZE_MAX
+  /// when every in-rotation shard has been tried.
+  static std::size_t untried_shard(const Fleet& fleet, std::uint64_t tried);
   /// Submit the capsule on shard `index` of `fleet`; false = rejected.
   bool dispatch(const Fleet& fleet, std::size_t index,
                 const std::shared_ptr<Relay>& relay, Admission admission);

@@ -1,7 +1,6 @@
 // Stats surface of the serving engine.
 //
-// Per model -- and, aggregated by the engine, per QoS class -- the
-// engine tracks the Graph-Challenge throughput metric
+// Per model the engine tracks the Graph-Challenge throughput metric
 // (edges/second over worker busy time), how well the micro-batcher is
 // coalescing (a power-of-two batch-row histogram), and two latency
 // distributions: queue wait (enqueue -> claimed by a worker, i.e. the
@@ -21,7 +20,9 @@
 // snapshot in bucket-wise (Log2Histogram::merge) and recomputes the
 // derived fields -- so a composite backend (serve/router.hpp) can
 // aggregate per-shard views into one whose percentiles are exactly
-// those of a histogram built from the pooled samples.
+// those of a histogram built from the pooled samples.  Per-class views
+// (Engine::class_stats, ShardRouter::class_stats) are such merges over
+// the class's models; no collector records per class.
 #pragma once
 
 #include <array>

@@ -5,11 +5,10 @@
 // std::threads that block on condition variables between batches.  These
 // helpers keep that layer dependency-free and uniform:
 //
-//   * Monitor      -- a mutex + condition variable pair.  Several
-//                     producer/consumer structures can share one Monitor
-//                     so a consumer can wait for "any of them has work"
-//                     with a single wait (see serve/queue.hpp's locked
-//                     protocol).
+//   * Monitor      -- a mutex + condition variable pair.  The micro-
+//                     batcher guards every model's queue with one
+//                     Monitor, so a consumer waits for "any model has
+//                     work" with a single wait (serve/batcher.hpp).
 //   * ThreadGroup  -- an RAII bundle of joinable threads: join_all() is
 //                     idempotent and the destructor always joins, so a
 //                     throwing constructor or early return can never leak

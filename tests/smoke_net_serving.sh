@@ -33,7 +33,9 @@ cleanup() {
 trap cleanup EXIT
 
 # Boot on an ephemeral port; the LISTENING line is the only way to
-# learn which one the kernel picked.
+# learn which one the kernel picked.  The log exists before the daemon
+# starts, so the first awk never races the background redirection.
+: >"$SERVED_LOG"
 "$SERVED" --port 0 --shards 2 --workers 1 --models 2 >"$SERVED_LOG" 2>&1 &
 SERVED_PID=$!
 

@@ -2,15 +2,18 @@
 // clock: end-to-end deadline expiry at claim time (a request expiring
 // EXACTLY at its deadline is shed, not dispatched), priority-aware
 // pressure shedding (background before batch before interactive,
-// newest victim first), the per-class shed/expired counters, and the
+// newest victim first), the per-class shed/expired counters, the
 // engine-level guarantee that an expired request never reaches a
-// worker's forward pass.
+// worker's forward pass, and the one unserved exit (shed, expired,
+// aborted) surviving a throwing completion callback.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -518,6 +521,231 @@ TEST(EngineBoundedWait, AdmissionWaitIsCappedAtRemainingDeadline) {
   EXPECT_EQ(filler.ok.load(), 1u);
   EXPECT_EQ(relay.deadline.load(), 1u);
   EXPECT_EQ(doomed.total(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The one unserved exit: a throwing DoneFn on each of its three reasons
+// (pressure shed, expired deadline, abort orphan) is swallowed, the
+// request counts once, and the engine keeps serving bit-exactly.
+
+// A completion that records what it was handed and then throws -- the
+// caller bug the DoneFn contract says the engine swallows.
+struct ThrowingDone {
+  std::atomic<int> calls{0};
+  RequestTiming timing;
+  std::exception_ptr error;
+
+  DoneFn done() {
+    return [this](std::span<const float>, const RequestTiming& t,
+                  std::exception_ptr e) {
+      timing = t;
+      error = e;
+      calls.fetch_add(1);
+      throw std::runtime_error("completion callback bug");
+    };
+  }
+};
+
+std::vector<float> direct_forward(const infer::SparseDnn& dnn,
+                                  const std::vector<float>& x) {
+  infer::InferenceWorkspace ws;
+  const auto y = dnn.forward(x.data(), 1, ws);
+  return {y.begin(), y.end()};
+}
+
+// Advance the fake clock through injected per-batch latency until
+// `future` is ready (bounded in real time).
+std::vector<float> await(std::future<std::vector<float>> future,
+                         FakeClock& clock) {
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (future.wait_for(500us) != std::future_status::ready) {
+    if (std::chrono::steady_clock::now() > give_up) {
+      ADD_FAILURE() << "request never completed";
+      return {};
+    }
+    clock.advance(1ms);
+  }
+  return future.get();
+}
+
+std::vector<float> serve_next(Engine& engine, FakeClock& clock, ModelId id,
+                              const std::vector<float>& x) {
+  return await(
+      engine.submit(InferenceRequest::borrowed(id, x, 1)).take_future(),
+      clock);
+}
+
+// The unserved request's own view: one call, the reason's error type,
+// and a life spent entirely in the queue.
+template <typename Error>
+void expect_unserved(const ThrowingDone& t) {
+  ASSERT_EQ(t.calls.load(), 1);
+  EXPECT_THROW(std::rethrow_exception(t.error), Error);
+  EXPECT_NE(t.timing.request_id, 0u);
+  EXPECT_GT(t.timing.queue_seconds, 0.0);
+  EXPECT_EQ(t.timing.queue_seconds, t.timing.total_seconds);
+}
+
+// The class has exactly one model, so its view must count exactly what
+// the model view counts.
+void expect_class_equals_model(const Engine& engine, ModelId id) {
+  const auto s = engine.stats(id);
+  const auto c = engine.class_stats(engine.model_priority(id));
+  EXPECT_EQ(c.requests, s.requests);
+  EXPECT_EQ(c.errors, s.errors);
+  EXPECT_EQ(c.shed, s.shed);
+  EXPECT_EQ(c.expired, s.expired);
+  EXPECT_EQ(c.batches, s.batches);
+  EXPECT_EQ(c.queue_wait_hist.raw_counts(), s.queue_wait_hist.raw_counts());
+  EXPECT_EQ(c.e2e_hist.raw_counts(), s.e2e_hist.raw_counts());
+}
+
+TEST(EngineUnservedExit, ThrowingShedCompletionIsSwallowed) {
+  const auto m = make_model(1024, 2, 5);
+  const std::vector<float> x(static_cast<std::size_t>(m.width), 1.0f);
+  FakeClock clock;
+  FaultInjector fault({.added_latency = 1ms});
+  Engine engine({.workers = 1,
+                 .max_batch_rows = 1,
+                 .max_delay = 0us,
+                 .clock = &clock,
+                 .shed_capacity = 1,
+                 .fault = &fault});
+  const auto bulk =
+      engine.add_model(m.dnn, "bulk", {.priority = Priority::kBackground});
+  const auto chat =
+      engine.add_model(m.dnn, "chat", {.priority = Priority::kInteractive});
+
+  Ledger plug, served;
+  ThrowingDone victim;
+  ASSERT_TRUE(engine
+                  .submit(InferenceRequest::borrowed(bulk, x, 1),
+                          {.done = plug.done()})
+                  .admitted());
+  ASSERT_TRUE(eventually(
+      [&] { return engine.pending(bulk) == 0 && clock.parked() >= 1; }));
+  ASSERT_TRUE(engine
+                  .submit(InferenceRequest::borrowed(bulk, x, 1),
+                          {.done = victim.done()})
+                  .admitted());
+  clock.advance(100us);  // the victim's queue wait; the plug stays parked
+
+  // The interactive arrival sheds the queued background victim, whose
+  // completion runs (and throws) inside this submit call.
+  SubmitResult result = SubmitResult::rejected();
+  EXPECT_NO_THROW(result = engine.submit(InferenceRequest::borrowed(chat, x, 1),
+                                         {.done = served.done()}));
+  EXPECT_TRUE(result.admitted());
+  expect_unserved<DeadlineExceededError>(victim);
+
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (plug.total() + served.total() < 2 &&
+         std::chrono::steady_clock::now() < give_up) {
+    clock.advance(1ms);
+    std::this_thread::sleep_for(500us);
+  }
+  ASSERT_EQ(plug.ok.load() + served.ok.load(), 2u);
+  EXPECT_EQ(serve_next(engine, clock, bulk, x), direct_forward(*m.dnn, x));
+
+  const auto s = engine.stats(bulk);
+  EXPECT_EQ(s.requests, 3u);  // plug, victim, next
+  EXPECT_EQ(s.shed, 1u);
+  EXPECT_EQ(s.errors, 1u);
+  expect_class_equals_model(engine, bulk);
+  expect_class_equals_model(engine, chat);
+  EXPECT_EQ(engine.class_stats(Priority::kInteractive).requests, 1u);
+  engine.shutdown();
+}
+
+TEST(EngineUnservedExit, ThrowingExpiredCompletionIsSwallowed) {
+  const auto m = make_model(1024, 2, 6);
+  const std::vector<float> x(static_cast<std::size_t>(m.width), 1.0f);
+  FakeClock clock;
+  FaultInjector fault({.added_latency = 1ms});
+  Engine engine({.workers = 1,
+                 .max_batch_rows = 1,
+                 .max_delay = 0us,
+                 .clock = &clock,
+                 .fault = &fault});
+  const auto id =
+      engine.add_model(m.dnn, "gc", {.priority = Priority::kInteractive});
+
+  Ledger plug;
+  ThrowingDone doomed;
+  ASSERT_TRUE(engine
+                  .submit(InferenceRequest::borrowed(id, x, 1),
+                          {.done = plug.done()})
+                  .admitted());
+  ASSERT_TRUE(eventually(
+      [&] { return engine.pending(id) == 0 && clock.parked() >= 1; }));
+  ASSERT_TRUE(engine
+                  .submit(InferenceRequest::borrowed(id, x, 1),
+                          {.deadline = 500us, .done = doomed.done()})
+                  .admitted());
+
+  // The worker finishes the plug, then claims the doomed request
+  // expired and runs its throwing completion on the worker thread.
+  clock.advance(1ms);
+  ASSERT_TRUE(eventually(
+      [&] { return plug.total() == 1 && doomed.calls.load() == 1; }));
+  expect_unserved<DeadlineExceededError>(doomed);
+
+  // The worker survived the throw.
+  EXPECT_EQ(serve_next(engine, clock, id, x), direct_forward(*m.dnn, x));
+  const auto s = engine.stats(id);
+  EXPECT_EQ(s.requests, 3u);  // plug, doomed, next
+  EXPECT_EQ(s.expired, 1u);
+  EXPECT_EQ(s.errors, 1u);
+  EXPECT_EQ(s.batches, 2u);
+  expect_class_equals_model(engine, id);
+  engine.shutdown();
+}
+
+TEST(EngineUnservedExit, ThrowingAbortOrphanCompletionIsSwallowed) {
+  const auto m = make_model(1024, 2, 7);
+  const std::vector<float> x(static_cast<std::size_t>(m.width), 1.0f);
+  FakeClock clock;
+  FaultInjector fault({.added_latency = 1ms});
+  Engine engine({.workers = 1,
+                 .max_batch_rows = 1,
+                 .max_delay = 0us,
+                 .clock = &clock,
+                 .fault = &fault});
+  const auto id = engine.add_model(m.dnn, "gc", {.priority = Priority::kBatch});
+
+  auto plug =
+      engine.submit(InferenceRequest::borrowed(id, x, 1)).take_future();
+  ASSERT_TRUE(eventually(
+      [&] { return engine.pending(id) == 0 && clock.parked() >= 1; }));
+  ThrowingDone first;
+  Ledger second;
+  ASSERT_TRUE(engine
+                  .submit(InferenceRequest::borrowed(id, x, 1),
+                          {.done = first.done()})
+                  .admitted());
+  ASSERT_TRUE(engine
+                  .submit(InferenceRequest::borrowed(id, x, 1),
+                          {.done = second.done()})
+                  .admitted());
+  clock.advance(100us);  // the orphans' queue wait; the plug stays parked
+
+  // abort() completes both orphans, then joins the worker, which is
+  // still inside the plug's injected latency.
+  std::thread aborter([&] { EXPECT_NO_THROW(engine.abort()); });
+  EXPECT_TRUE(eventually(
+      [&] { return first.calls.load() == 1 && second.total() == 1; }));
+  // The sweep went on past the throw, and the claimed plug still
+  // finishes bit-exactly.
+  EXPECT_EQ(await(std::move(plug), clock), direct_forward(*m.dnn, x));
+  aborter.join();
+  expect_unserved<AbortedError>(first);
+  EXPECT_EQ(second.other.load(), 1u);
+
+  const auto s = engine.stats(id);
+  EXPECT_EQ(s.requests, 3u);  // plug and two orphans
+  EXPECT_EQ(s.errors, 2u);
+  EXPECT_EQ(s.shed + s.expired, 0u);
+  expect_class_equals_model(engine, id);
 }
 
 }  // namespace

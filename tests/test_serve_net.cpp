@@ -6,8 +6,10 @@
 // fetched over the wire match the in-process snapshot EXACTLY (raw
 // histogram grids included), admin verbs round-trip -- answered from
 // the router's registry, so they stay right while shard 0 is down --
-// and a client that disconnects mid-request orphans its responses
-// (dropped and counted, never written to a dead socket).
+// a client that disconnects mid-request orphans its responses
+// (dropped and counted, never written to a dead socket), and a response
+// that lands just before the server closes the connection is still
+// the client's answer.
 #include "net/server.hpp"
 
 #include <unistd.h>
@@ -17,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -501,6 +504,102 @@ TEST(ServeNet, LocalShutdownDrainsAndStopsAdmitting) {
   // The server never noticed anything but a clean disconnect.
   EXPECT_FALSE(s.server->stopped());
   EXPECT_EQ(s.server->orphaned_responses(), 0u);
+}
+
+/// An in-test peer on an ephemeral loopback port that serves
+/// `connections` clients in turn: it reads ONE frame from each, answers
+/// it with `reply`, and closes the connection at once -- so the client
+/// reads the answer and the EOF back to back.
+class AnswerOnceThenClose {
+ public:
+  using Reply = std::function<void(const Fd&, const Frame&)>;
+
+  AnswerOnceThenClose(int connections, Reply reply) {
+    auto [listener, port] = listen_tcp(0);
+    port_ = port;
+    thread_ = std::thread(
+        [listener = std::move(listener), connections, reply = std::move(reply)] {
+          for (int i = 0; i < connections;) {
+            auto conn = accept_one(listener);  // blocking listener
+            if (!conn) continue;
+            ++i;
+            if (auto frame = recv_frame(*conn)) reply(*conn, *frame);
+          }  // each connection closes as its Fd leaves scope
+        });
+  }
+  ~AnswerOnceThenClose() { thread_.join(); }
+
+  std::uint16_t port() const noexcept { return port_; }
+
+ private:
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+TEST(ServeNet, ResponseJustBeforeCloseIsStillTheAnswer) {
+  // The reader stores a response and then hits EOF, which fails every
+  // entry still in the table.  A waiter that wakes after both must use
+  // the response it was sent, not report the connection lost.
+  constexpr int kTrials = 200;
+  {
+    AnswerOnceThenClose peer(kTrials, [](const Fd& fd, const Frame& f) {
+      send_frame(fd, MsgType::kPong, f.correlation, {});
+    });
+    int lost = 0;
+    for (int i = 0; i < kTrials; ++i) {
+      RemoteBackend remote(peer.port());
+      try {
+        remote.ping();
+      } catch (const IoError&) {
+        ++lost;
+      }
+    }
+    EXPECT_EQ(lost, 0) << "pings answered just before the close";
+  }
+
+  // The submit twin: the ack (admitted) arrives, then EOF, and the
+  // result never does.  Each submit must report admitted, and its
+  // future must complete exactly once with the connection-lost IoError
+  // -- also when the EOF was processed before the waiter saw its ack.
+  AnswerOnceThenClose peer(kTrials, [](const Fd& fd, const Frame& f) {
+    std::vector<std::uint8_t> ack;
+    WireWriter w(ack);
+    w.u8(1);  // admitted
+    w.u64(f.correlation + 1000);  // request id
+    send_frame(fd, MsgType::kSubmitAck, f.correlation, ack);
+  });
+  const std::vector<float> row(8, 1.0f);
+  int rejected = 0, thrown = 0, unresolved = 0, not_io_error = 0;
+  for (int i = 0; i < kTrials; ++i) {
+    RemoteBackend remote(peer.port());
+    serve::SubmitResult result = serve::SubmitResult::rejected();
+    try {
+      result = remote.submit(serve::InferenceRequest::borrowed(0, row, 1));
+    } catch (const IoError&) {
+      ++thrown;
+      continue;
+    }
+    if (!result.admitted()) {
+      ++rejected;
+      continue;
+    }
+    auto future = result.take_future();
+    if (future.wait_for(10s) != std::future_status::ready) {
+      ++unresolved;
+      continue;
+    }
+    try {
+      (void)future.get();
+      ++not_io_error;
+    } catch (const IoError&) {
+    } catch (...) {
+      ++not_io_error;
+    }
+  }
+  EXPECT_EQ(thrown, 0) << "submit threw although its ack arrived";
+  EXPECT_EQ(rejected, 0);
+  EXPECT_EQ(unresolved, 0) << "an admitted future never completed";
+  EXPECT_EQ(not_io_error, 0);
 }
 
 TEST(ServeNet, ShutdownVerbStopsTheServer) {

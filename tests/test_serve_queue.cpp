@@ -1,16 +1,14 @@
-// Unit tests for the serving substrate below the batcher: the bounded
-// MPMC queue (standalone mode: FIFO, try-variants, close-drain,
-// blocking handoff) and BatchAssembly (zero-copy single-request fast
-// path, contiguous concatenation, growth-only staging).  The
-// micro-batcher's scheduling policy itself is covered deterministically
-// in test_serve_batcher.cpp.
+// Unit tests for BatchAssembly, the step between a claimed batch and
+// the forward pass: zero-copy single-request fast path, contiguous
+// concatenation, growth-only staging.  The micro-batcher's per-model
+// queues (FIFO, close-drain, backpressure, full-queue refusal) and its
+// scheduling policy are covered deterministically in
+// test_serve_batcher.cpp.
 #include "serve/batcher.hpp"
-#include "serve/queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
-#include <thread>
 #include <vector>
 
 namespace radix::serve {
@@ -21,55 +19,6 @@ Request make_request(index_t rows, const float* input = nullptr) {
   r.rows = rows;
   r.input = input;
   return r;
-}
-
-TEST(BoundedMpmcQueue, FifoAndTryVariants) {
-  BoundedMpmcQueue<int> q(3);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_TRUE(q.try_push(3));
-  EXPECT_FALSE(q.try_push(4)) << "capacity 3 must reject a fourth item";
-  EXPECT_EQ(q.size(), 3u);
-
-  int v = 0;
-  EXPECT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 3);
-  EXPECT_FALSE(q.try_pop(v));
-}
-
-TEST(BoundedMpmcQueue, CloseDrainsThenRefuses) {
-  BoundedMpmcQueue<int> q(4);
-  ASSERT_TRUE(q.push(10));
-  ASSERT_TRUE(q.push(11));
-  q.close();
-  EXPECT_FALSE(q.push(12)) << "push after close must refuse";
-  EXPECT_FALSE(q.try_push(12));
-  int v = 0;
-  EXPECT_TRUE(q.pop(v)) << "queued items stay poppable after close";
-  EXPECT_EQ(v, 10);
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 11);
-  EXPECT_FALSE(q.pop(v)) << "closed + drained must return false";
-}
-
-TEST(BoundedMpmcQueue, BlockingHandoffAcrossThreads) {
-  BoundedMpmcQueue<int> q(1);
-  std::vector<int> got;
-  std::thread consumer([&] {
-    int v;
-    while (q.pop(v)) got.push_back(v);
-  });
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(q.push(i));  // capacity 1: every push waits for the pop
-  }
-  q.close();
-  consumer.join();
-  ASSERT_EQ(got.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
 }
 
 TEST(BatchAssembly, SingleRequestIsZeroCopy) {

@@ -545,5 +545,130 @@ TEST(ShardRouter, ModelAddedWhileShardDownIsServedAndRestartRejoins) {
   EXPECT_EQ(router.stats(b).errors, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Class views are derived from the per-model ledgers.
+
+// Every integer counter and every bucket count of the three histograms.
+void expect_same_counts(const ServeStats& got, const ServeStats& want) {
+  EXPECT_EQ(got.requests, want.requests);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.batches, want.batches);
+  EXPECT_EQ(got.edges, want.edges);
+  EXPECT_EQ(got.errors, want.errors);
+  EXPECT_EQ(got.shed, want.shed);
+  EXPECT_EQ(got.expired, want.expired);
+  EXPECT_EQ(got.batch_rows_hist.raw_counts(), want.batch_rows_hist.raw_counts());
+  EXPECT_EQ(got.queue_wait_hist.raw_counts(), want.queue_wait_hist.raw_counts());
+  EXPECT_EQ(got.e2e_hist.raw_counts(), want.e2e_hist.raw_counts());
+}
+
+// class_stats(p) must equal the merge of stats(m) over the class-p ids,
+// for every class.  `classes[m]` is model m's class.
+template <typename B>
+void expect_class_views_derived(const B& backend,
+                                const std::vector<Priority>& classes) {
+  for (std::size_t c = 0; c < kNumPriorities; ++c) {
+    const auto p = static_cast<Priority>(c);
+    SCOPED_TRACE(to_string(p));
+    ServeStats want;
+    for (ModelId m = 0; m < classes.size(); ++m) {
+      if (classes[m] == p) want.merge(backend.stats(m));
+    }
+    expect_same_counts(backend.class_stats(p), want);
+  }
+}
+
+// A mix of served and pre-expired requests (a negative deadline is
+// admitted, then expires at its first claim) on every listed model.
+template <typename B>
+void run_traffic(B& backend, const std::vector<ModelId>& ids,
+                 const std::vector<float>& x, int per_model) {
+  std::vector<std::future<std::vector<float>>> served, expired;
+  for (const ModelId m : ids) {
+    for (int i = 0; i < per_model; ++i) {
+      served.push_back(
+          backend.submit(InferenceRequest::borrowed(m, x, 1)).take_future());
+    }
+    expired.push_back(backend
+                          .submit(InferenceRequest::borrowed(m, x, 1),
+                                  {.deadline = -1us})
+                          .take_future());
+  }
+  for (auto& f : served) EXPECT_NO_THROW(f.get());
+  for (auto& f : expired) EXPECT_THROW(f.get(), DeadlineExceededError);
+}
+
+TEST(ClassStats, EngineClassViewIsTheMergeOfItsModels) {
+  const auto d = make_dnn(1024, 2, 120);
+  Engine engine({.workers = 1, .max_batch_rows = 4, .max_delay = 0us});
+  const std::vector<Priority> classes = {
+      Priority::kInteractive, Priority::kBatch, Priority::kBackground,
+      Priority::kBatch};
+  for (const Priority p : classes) engine.add_model(d, "", {.priority = p});
+  Rng irng(121);
+  const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
+
+  run_traffic(engine, {0, 1, 2, 3}, x, 6);
+  expect_class_views_derived(engine, classes);
+
+  // A removed model's history stays in its class; a swapped one keeps
+  // one ledger across versions.
+  const auto batch_before = engine.class_stats(Priority::kBatch);
+  engine.remove_model(3);
+  engine.swap_model(1, make_dnn(1024, 2, 122));
+  expect_same_counts(engine.class_stats(Priority::kBatch), batch_before);
+  run_traffic(engine, {0, 1, 2}, x, 3);
+  expect_class_views_derived(engine, classes);
+  EXPECT_EQ(engine.class_stats(Priority::kBatch).requests,
+            engine.stats(1).requests + engine.stats(3).requests);
+  EXPECT_GT(engine.stats(3).requests, 0u);
+  engine.shutdown();
+}
+
+TEST(ClassStats, RouterClassViewIsTheMergeOfItsModelsAcrossKillAndRestart) {
+  const auto d = make_dnn(1024, 2, 123);
+  ShardRouter router(
+      {.shards = 2,
+       .engine = {.workers = 1, .max_batch_rows = 4, .max_delay = 0us}});
+  const std::vector<Priority> classes = {
+      Priority::kInteractive, Priority::kBatch, Priority::kBackground,
+      Priority::kBatch};
+  for (const Priority p : classes) router.add_model(d, "", {.priority = p});
+  Rng irng(124);
+  const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
+
+  // Hold shard 1 out of rotation so shard 0 -- the one killed below --
+  // certainly has history in every class.
+  router.drain_shard(1);
+  run_traffic(router, {0, 1, 2, 3}, x, 4);
+  router.restart_shard(1);
+  run_traffic(router, {0, 1, 2, 3}, x, 4);
+  expect_class_views_derived(router, classes);
+  for (ModelId m = 0; m < classes.size(); ++m) {
+    ASSERT_GT(router.shard(0).stats(m).requests, 0u);
+  }
+
+  router.remove_model(3);
+  router.swap_model(1, make_dnn(1024, 2, 125));
+  std::vector<ServeStats> before;
+  for (std::size_t c = 0; c < kNumPriorities; ++c) {
+    before.push_back(router.class_stats(static_cast<Priority>(c)));
+  }
+  router.kill_shard(0);
+  for (std::size_t c = 0; c < kNumPriorities; ++c) {
+    SCOPED_TRACE(to_string(static_cast<Priority>(c)));
+    expect_same_counts(router.class_stats(static_cast<Priority>(c)),
+                       before[c]);  // the killed shard's history stays
+  }
+  expect_class_views_derived(router, classes);
+
+  router.restart_shard(0);
+  run_traffic(router, {0, 1, 2}, x, 4);
+  expect_class_views_derived(router, classes);
+  EXPECT_GT(router.class_stats(Priority::kBatch).requests,
+            before[static_cast<std::size_t>(Priority::kBatch)].requests);
+  router.shutdown();
+}
+
 }  // namespace
 }  // namespace radix::serve
