@@ -241,8 +241,8 @@ void BM_ServeLatencyVsDelay(benchmark::State& state) {
 // --- Mixed-priority QoS sweep -------------------------------------------
 
 // Both QoS classes run 4-row requests against an 8-row budget: the
-// batch class keeps a generous coalescing window while the interactive
-// class's small window and budget bound how long a worker can be
+// batch model keeps a generous coalescing window while the interactive
+// model's small window and budget bound how long a worker can be
 // head-of-line blocked in front of it.
 constexpr index_t kQosRows = 4;
 constexpr index_t kQosBudget = 8;
@@ -257,14 +257,13 @@ void SetupQosEngine(const benchmark::State&) {
   opts.max_batch_rows = kQosBudget;
   opts.max_delay = std::chrono::microseconds(200);
   opts.queue_capacity = 4096;
-  opts.class_policy[static_cast<std::size_t>(
-      serve::Priority::kInteractive)] = {
-      .max_delay = std::chrono::microseconds(50),
-      .max_batch_rows = kQosBudget};
   g_qos_engine = std::make_unique<serve::Engine>(opts);
   g_qos_inter = g_qos_engine->add_model(
       make_dnn(), "interactive",
-      {.priority = serve::Priority::kInteractive, .weight = 4});
+      {.priority = serve::Priority::kInteractive,
+       .weight = 4,
+       .max_delay = std::chrono::microseconds(50),
+       .max_batch_rows = kQosBudget});
   g_qos_batch = g_qos_engine->add_model(
       make_dnn(), "batch", {.priority = serve::Priority::kBatch});
   (void)cached_input(kQosRows);

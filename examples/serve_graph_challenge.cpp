@@ -322,9 +322,6 @@ int main(int argc, char** argv) {
   opts.max_delay = std::chrono::microseconds(500);
   opts.queue_capacity = 256;
   opts.starvation_bound = 8;
-  opts.class_policy[static_cast<std::size_t>(
-      serve::Priority::kInteractive)] = {
-      .max_delay = std::chrono::microseconds(50), .max_batch_rows = 8};
   std::unique_ptr<serve::Tracer> tracer;
   if (trace) {
     tracer = std::make_unique<serve::Tracer>(
@@ -335,7 +332,10 @@ int main(int argc, char** argv) {
   // The backend: the same options on every shard behind a ShardRouter
   // -- the clients below only see serve::Backend.
   serve::ShardRouter router({.shards = shards, .engine = opts});
-  serve::Client chat(router, router.add_model(dnn, "chat", kChatQos));
+  serve::QosPolicy chat_qos = kChatQos;
+  chat_qos.max_delay = std::chrono::microseconds(50);
+  chat_qos.max_batch_rows = 8;
+  serve::Client chat(router, router.add_model(dnn, "chat", chat_qos));
   serve::Client bulk(router, router.add_model(dnn, "bulk", kBulkQos));
   std::printf("backend: %zu shard%s x %u workers; chat=interactive "
               "(50us window, 8-row budget), bulk=background "

@@ -68,31 +68,15 @@ Engine::Engine(EngineOptions options)
 
 Engine::~Engine() { shutdown(); }
 
-QosPolicy Engine::resolve_qos(QosPolicy qos) const {
-  // Per-model value > class override > engine default; the batcher
-  // resolves the final (engine-default) layer itself.  Priority is a
-  // uint8 enum class (any raw value converts legally) and indexes the
-  // override table, so gate it before the lookup.
-  RADIX_REQUIRE(static_cast<std::size_t>(qos.priority) < kNumPriorities,
-                "Engine: invalid priority class");
-  const ClassPolicy& cls =
-      options_.class_policy[static_cast<std::size_t>(qos.priority)];
-  if (qos.max_delay < std::chrono::microseconds::zero()) {
-    qos.max_delay = cls.max_delay;  // may still be unset: batcher default
-  }
-  if (qos.max_batch_rows == 0) qos.max_batch_rows = cls.max_batch_rows;
-  return qos;
-}
-
 void Engine::publish_locked(ModelId id, std::shared_ptr<const ModelState> st) {
-  const auto current = models_.load(std::memory_order_acquire);
+  const auto current = models_.load();
   auto next = std::make_shared<Registry>(*current);  // shallow slot copy
   if (id == next->size()) {
     next->push_back(std::move(st));
   } else {
     (*next)[id] = std::move(st);
   }
-  models_.store(std::move(next), std::memory_order_release);
+  models_.store(std::move(next));
 }
 
 ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
@@ -114,7 +98,7 @@ ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
   // queue.  Lock order is models_mutex_ -> batcher monitor; no other
   // path nests the two.
   std::scoped_lock lock(models_mutex_);
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   st->name = detail::resolve_model_name(
       std::move(name), reg->size(),
       [&](const std::string& n) {
@@ -130,11 +114,11 @@ ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
   // throw, and throwing *after* the registry publish would leave the
   // two permanently desynced.  The reverse failure (publish throwing
   // after the slot exists) only leaves an unreachable empty queue,
-  // which the scheduler skips.
+  // which the scheduler skips.  The batcher resolves unset knobs to
+  // the engine defaults.
   const ModelId id = reg->size();
-  const QosPolicy resolved = resolve_qos(qos);
-  st->priority = resolved.priority;
-  const ModelId batcher_id = batcher_.add_model(resolved);
+  st->priority = qos.priority;
+  const ModelId batcher_id = batcher_.add_model(qos);
   RADIX_ASSERT(batcher_id == id,
                "Engine: model registry and batcher out of sync");
   publish_locked(id, std::move(st));
@@ -143,12 +127,12 @@ ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
 
 void Engine::remove_model(ModelId id) {
   std::scoped_lock lock(models_mutex_);
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   RADIX_REQUIRE(id < reg->size(), "Engine: unknown model id");
   const auto& old = (*reg)[id];
   RADIX_REQUIRE(!old->retired, "Engine: model already removed");
   // Close admission for this model only, then serve out its backlog.
-  // Workers make progress without models_mutex_ (they read the atomic
+  // Workers make progress without models_mutex_ (they read the
   // snapshot), so holding it across the drain only serializes other
   // lifecycle calls -- exactly the intent.
   batcher_.retire_model(id);
@@ -169,7 +153,7 @@ void Engine::swap_model(ModelId id,
   // submit hot path must never wait on it.
   dnn->prewarm();
   std::scoped_lock lock(models_mutex_);
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   RADIX_REQUIRE(id < reg->size(), "Engine: unknown model id");
   const auto& old = (*reg)[id];
   RADIX_REQUIRE(!old->retired, "Engine: cannot swap a removed model");
@@ -192,7 +176,7 @@ ModelId Engine::add_tombstone() {
   st->stats = std::make_shared<StatsCollector>();
   st->retired = true;
   std::scoped_lock lock(models_mutex_);
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   const ModelId id = reg->size();
   st->name = "tombstone-" + std::to_string(id);
   const ModelId batcher_id = batcher_.add_model(QosPolicy{});
@@ -212,7 +196,7 @@ bool Engine::model_retired(ModelId id) const { return state(id)->retired; }
 void Engine::quiesce() { batcher_.quiesce(); }
 
 std::size_t Engine::num_models() const {
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   std::size_t live = 0;
   for (const auto& st : *reg) {
     if (!st->retired) ++live;
@@ -221,7 +205,7 @@ std::size_t Engine::num_models() const {
 }
 
 std::optional<ModelId> Engine::find_model(std::string_view name) const {
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   for (ModelId id = 0; id < reg->size(); ++id) {
     if (!(*reg)[id]->retired && (*reg)[id]->name == name) return id;
   }
@@ -231,7 +215,7 @@ std::optional<ModelId> Engine::find_model(std::string_view name) const {
 unsigned Engine::num_workers() const noexcept { return worker_count_; }
 
 std::shared_ptr<const Engine::ModelState> Engine::state(ModelId id) const {
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   RADIX_REQUIRE(id < reg->size(), "Engine: unknown model id");
   return (*reg)[id];
 }
@@ -252,8 +236,8 @@ QosPolicy Engine::model_policy(ModelId id) const {
 }
 
 SubmitResult Engine::submit(InferenceRequest req, SubmitOptions opts) {
-  // Lock-free id resolution: one atomic snapshot load, no registry
-  // mutex -- lifecycle publishes never stall the hot path.
+  // Id resolution is one snapshot load, never the registry mutex --
+  // lifecycle publishes never stall the hot path.
   auto st = state(req.model);  // validates the id
   // A removed model is a known id whose service ended: rejection is a
   // value (like shutdown), not a caller bug.  The batcher's retired
@@ -432,7 +416,7 @@ ServeStats Engine::class_stats(Priority p) const {
                 "Engine: invalid priority class");
   // Derived from the per-model ledgers: retired slots keep their
   // collectors, so a removed model's history stays in its class.
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   ServeStats merged;
   for (const auto& st : *reg) {
     if (st->priority == p) merged.merge(st->stats->snapshot());
@@ -444,7 +428,8 @@ std::size_t Engine::pending(ModelId id) const {
   return batcher_.pending(id);  // validates id under the monitor alone
 }
 
-void Engine::stop(bool abort_queued) {
+std::size_t Engine::stop(bool abort_queued) {
+  std::size_t orphaned = 0;
   std::call_once(shutdown_once_, [&] {
     if (!abort_queued) {
       batcher_.close();     // refuse new work; queued stays claimable
@@ -457,17 +442,19 @@ void Engine::stop(bool abort_queued) {
     // workers: their completions (a router's resubmit-elsewhere) must
     // not wait on in-flight forward passes here.
     auto orphans = batcher_.abort();
+    orphaned = orphans.size();
     const auto now = batcher_.clock().now();
     for (auto& [model, r] : orphans) {
       complete_unserved(Unserved::kAborted, model, r, now);
     }
     workers_.join_all();
   });
+  return orphaned;
 }
 
 void Engine::shutdown() { stop(false); }
 
-void Engine::abort() { stop(true); }
+std::size_t Engine::abort() { return stop(true); }
 
 bool Engine::accepting() const { return !batcher_.closed(); }
 
@@ -600,70 +587,8 @@ void Engine::worker_loop(std::size_t worker_index) {
   }
 }
 
-std::size_t Engine::class_pending(Priority p) const {
-  const auto reg = models_.load(std::memory_order_acquire);
-  std::size_t total = 0;
-  for (ModelId id = 0; id < reg->size(); ++id) {
-    const auto& st = (*reg)[id];
-    if (st->retired || st->priority != p) continue;
-    total += batcher_.pending(id);
-  }
-  return total;
-}
-
 unsigned Engine::busy_workers() const noexcept {
   return busy_workers_.load(std::memory_order_relaxed);
-}
-
-void Engine::export_metrics(MetricsRegistry& registry) const {
-  const std::string shard = std::to_string(options_.shard_index);
-  for (std::size_t i = 0; i < kNumPriorities; ++i) {
-    const auto p = static_cast<Priority>(i);
-    const ServeStats s = class_stats(p);
-    const MetricLabels labels{{"class", std::string(to_string(p))},
-                              {"shard", shard}};
-    registry.set_counter("radix_serve_requests_total", labels,
-                         static_cast<double>(s.requests),
-                         "Requests completed (including shed/expired)");
-    registry.set_counter("radix_serve_shed_total", labels,
-                         static_cast<double>(s.shed),
-                         "Requests dropped by the overload policy");
-    registry.set_counter("radix_serve_expired_total", labels,
-                         static_cast<double>(s.expired),
-                         "Requests whose e2e deadline passed before claim");
-    registry.set_counter("radix_serve_errors_total", labels,
-                         static_cast<double>(s.errors),
-                         "Requests completed with an exception");
-    registry.set_counter("radix_serve_rows_total", labels,
-                         static_cast<double>(s.rows), "Input rows served");
-    registry.set_counter("radix_serve_batches_total", labels,
-                         static_cast<double>(s.batches),
-                         "Coalesced batches executed");
-    registry.set_counter("radix_serve_edges_total", labels,
-                         static_cast<double>(s.edges),
-                         "Edges processed (batch rows x model nnz)");
-    registry.set_counter("radix_serve_busy_seconds_total", labels,
-                         s.busy_seconds, "Summed forward wall time");
-    registry.set_gauge("radix_serve_queue_depth", labels,
-                       static_cast<double>(class_pending(p)),
-                       "Admitted requests not yet claimed by a worker");
-    registry.set_histogram("radix_serve_e2e_latency_seconds", labels,
-                           s.e2e_hist, "Submit-to-completion latency");
-    registry.set_histogram("radix_serve_queue_wait_seconds", labels,
-                           s.queue_wait_hist, "Submit-to-claim latency");
-    registry.set_histogram("radix_serve_batch_rows", labels,
-                           s.batch_rows_hist, "Coalesced batch sizes");
-  }
-  const MetricLabels shard_labels{{"shard", shard}};
-  const unsigned workers = num_workers();
-  registry.set_gauge("radix_serve_workers", shard_labels,
-                     static_cast<double>(workers),
-                     "Worker threads in the pool");
-  registry.set_gauge(
-      "radix_serve_worker_busy_fraction", shard_labels,
-      workers == 0 ? 0.0
-                   : static_cast<double>(busy_workers()) / workers,
-      "Fraction of workers inside a claimed batch right now");
 }
 
 }  // namespace radix::serve

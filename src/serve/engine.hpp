@@ -69,18 +69,21 @@
 //     AbortedError (so a router can resubmit them elsewhere), claimed
 //     batches still finish.
 //   * The model registry is copy-on-write: submit()/stats()/workers
-//     read an atomic<shared_ptr> snapshot without taking any lock, so
-//     the lifecycle calls -- add_model, remove_model, swap_model --
-//     publish under a mutation mutex without ever blocking the submit
-//     hot path.  swap_model prewarms the incoming version's transpose
+//     copy a snapshot pointer (support/thread.hpp's Snapshot), so the
+//     lifecycle calls -- add_model, remove_model, swap_model -- publish
+//     under a mutation mutex without ever blocking the submit hot
+//     path.  swap_model prewarms the incoming version's transpose
 //     caches BEFORE publishing, so the first post-cutover batch pays no
 //     one-time construction; a batch is always served whole by one
 //     version (workers resolve the snapshot once per claimed batch).
 //   * Time is injectable (EngineOptions::clock): tests drive the
 //     coalescing deadlines and latency stats with a FakeClock.
+//   * The engine keeps ledgers and live gauges but exports nothing
+//     itself: the ShardRouter (serve/router.hpp) is the one metrics
+//     exporter, and builds each shard's series from class_stats(),
+//     pending(), num_workers() and busy_workers().
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -95,7 +98,6 @@
 #include "serve/backend.hpp"
 #include "serve/batcher.hpp"
 #include "serve/fault.hpp"
-#include "serve/metrics.hpp"
 #include "serve/qos.hpp"
 #include "serve/request.hpp"
 #include "serve/stats.hpp"
@@ -118,10 +120,6 @@ struct EngineOptions {
   /// Pending-request bound per model; what a full queue does to submit
   /// is SubmitOptions::admission.
   std::size_t queue_capacity = 1024;
-  /// Per-class overrides of max_delay / max_batch_rows, indexed by
-  /// Priority; unset fields inherit the engine-wide defaults above.
-  /// A per-model QosPolicy field overrides both.
-  std::array<ClassPolicy, kNumPriorities> class_policy{};
   /// A backlogged lower class is served after being passed over this
   /// many consecutive claims (>= 1).
   std::uint64_t starvation_bound = 16;
@@ -148,8 +146,8 @@ struct EngineOptions {
   /// tracer must outlive the engine and should stamp with the same
   /// clock as `clock` or timelines mix epochs.
   Tracer* tracer = nullptr;
-  /// Shard label stamped into every trace event and metrics series this
-  /// engine emits; a ShardRouter sets it to the shard's fleet index.
+  /// Shard label stamped into every trace event this engine emits; a
+  /// ShardRouter sets it to the shard's fleet index.
   std::uint16_t shard_index = 0;
 };
 
@@ -164,8 +162,8 @@ class Engine final : public Backend {
   /// Register a model; the returned id addresses submit()/stats().
   /// `name` must be unique within this engine (empty generates
   /// "model-<id>"); a duplicate throws.  `qos` sets its service class /
-  /// weight / knob overrides (unset fields inherit the class override,
-  /// then the engine defaults).  Safe to call while traffic is served.
+  /// weight / knob overrides (unset fields inherit the engine
+  /// defaults).  Safe to call while traffic is served.
   ModelId add_model(std::shared_ptr<const infer::SparseDnn> model,
                     std::string name = "", QosPolicy qos = {});
 
@@ -198,9 +196,10 @@ class Engine final : public Backend {
   /// queued-but-unclaimed request with AbortedError (recorded as errors
   /// in the stats), let claimed batches finish, join the workers.  The
   /// orphaned requests' completions run inside this call -- a router
-  /// resubmits them to healthy shards before abort() returns.
-  /// Idempotent with shutdown(): whichever runs first wins.
-  void abort();
+  /// resubmits them to healthy shards before abort() returns.  Returns
+  /// how many requests it orphaned.  Idempotent with shutdown():
+  /// whichever runs first wins (a later call orphans nothing).
+  std::size_t abort();
 
   /// Version counter of a model: 1 after add_model, +1 per swap_model.
   std::uint32_t model_version(ModelId id) const;
@@ -217,34 +216,17 @@ class Engine final : public Backend {
   const infer::SparseDnn& model(ModelId id) const;
   const std::string& model_name(ModelId id) const;
 
-  /// The fully resolved QoS policy a model is served under.
+  /// The fully resolved QoS policy a model is served under: each
+  /// QosPolicy field the model set, else the engine default.
   QosPolicy model_policy(ModelId id) const;
-
-  /// The resolved service class alone, read lock-free off the registry
-  /// snapshot (model_policy takes the batcher monitor) -- safe to call
-  /// on an aborted engine, which the router's failover trace path does.
-  Priority model_priority(ModelId id) const { return state(id)->priority; }
 
   /// Aggregate counters for one service class: the merge of stats(id)
   /// over every id of that class, removed ones included.
   ServeStats class_stats(Priority p) const;
 
-  /// Requests queued (not yet claimed) across this engine's models of
-  /// one class -- the live queue-depth gauge behind export_metrics.
-  std::size_t class_pending(Priority p) const;
-
   /// Workers currently inside a claimed batch (fault seam + forward +
   /// completion delivery), over num_workers() = the busy fraction.
   unsigned busy_workers() const noexcept;
-
-  /// Publish this engine's current state into `registry` as the
-  /// radix_serve_* metric family set: per-class counters (requests,
-  /// shed, expired, errors, rows, batches, edges, busy seconds), live
-  /// gauges (queue depth, worker busy fraction) and latency/batch-shape
-  /// histograms.  Labels every series {class=<name>, shard=<shard>};
-  /// `shard` defaults to options().shard_index.  Rebuilt per scrape
-  /// from collector snapshots -- nothing here touches the hot path.
-  void export_metrics(MetricsRegistry& registry) const;
 
   const EngineOptions& options() const noexcept { return options_; }
 
@@ -284,14 +266,14 @@ class Engine final : public Backend {
     std::shared_ptr<StatsCollector> stats;  // survives swap/remove
     std::uint32_t version = 1;
     bool retired = false;
-    /// Resolved service class, duplicated from the batcher policy so
-    /// trace stamping and class_pending read it lock-free off the
-    /// registry snapshot instead of taking the batcher monitor.
+    /// Service class, duplicated from the batcher policy so trace
+    /// stamping and class_stats read it off the registry snapshot
+    /// instead of taking the batcher monitor.
     Priority priority = Priority::kBatch;
   };
 
-  // The copy-on-write registry: readers atomically load the current
-  // snapshot (submit hot path, workers, observers); mutators copy the
+  // The copy-on-write registry: readers load the current snapshot
+  // (submit hot path, workers, observers); mutators copy the
   // vector under models_mutex_, edit one slot, and publish.  ModelId is
   // the slot index and is never reused.
   using Registry = std::vector<std::shared_ptr<const ModelState>>;
@@ -312,17 +294,17 @@ class Engine final : public Backend {
   /// reason's error.  Runs outside the batcher monitor.
   void complete_unserved(Unserved why, std::size_t model, const Request& r,
                          ClockSource::time_point now);
-  void stop(bool abort_queued);
-  QosPolicy resolve_qos(QosPolicy qos) const;
+  /// Shared body of shutdown() / abort(); returns the orphan count.
+  std::size_t stop(bool abort_queued);
   void worker_loop(std::size_t worker_index);
 
   EngineOptions options_;
   MicroBatcher batcher_;
 
   mutable std::mutex models_mutex_;  // serializes registry mutations
-  std::atomic<std::shared_ptr<const Registry>> models_;
+  Snapshot<Registry> models_;
 
-  // Live gauge behind export_metrics: workers inside a claimed batch.
+  // Live gauge behind busy_workers(): workers inside a claimed batch.
   std::atomic<unsigned> busy_workers_{0};
 
   ThreadGroup workers_;

@@ -1,6 +1,5 @@
 #include "serve/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -75,12 +74,6 @@ std::string number(double v) {
     std::snprintf(buf, sizeof(buf), "%.9g", v);
   }
   return buf;
-}
-
-std::uint64_t delta(std::uint64_t now, std::uint64_t before) {
-  // A restarted collector (or a reset key) can move a counter
-  // backwards; clamp rather than wrap.
-  return now >= before ? now - before : 0;
 }
 
 }  // namespace
@@ -224,51 +217,6 @@ std::string MetricsRegistry::to_json() const {
   }
   out += "]}";
   return out;
-}
-
-MetricsWindow::MetricsWindow(ClockSource* clock)
-    : clock_(clock ? clock : &steady_clock_source()) {}
-
-void MetricsWindow::reset(const std::string& key) { anchors_.erase(key); }
-
-WindowedRates MetricsWindow::tick(const std::string& key,
-                                  const ServeStats& current,
-                                  unsigned workers) {
-  const auto now = clock_->now();
-  WindowedRates r;
-  auto it = anchors_.find(key);
-  if (it == anchors_.end()) {
-    anchors_.emplace(key, Anchor{now, current});
-    return r;  // first tick anchors the window; nothing to rate yet
-  }
-  Anchor& a = it->second;
-  r.interval_seconds = std::chrono::duration<double>(now - a.at).count();
-  r.d_requests = delta(current.requests, a.stats.requests);
-  r.d_shed = delta(current.shed, a.stats.shed);
-  r.d_expired = delta(current.expired, a.stats.expired);
-  r.d_errors = delta(current.errors, a.stats.errors);
-  r.d_rows = delta(current.rows, a.stats.rows);
-  r.d_batches = delta(current.batches, a.stats.batches);
-  r.d_edges = delta(current.edges, a.stats.edges);
-  r.d_busy_seconds =
-      std::max(current.busy_seconds - a.stats.busy_seconds, 0.0);
-  if (r.interval_seconds > 0.0) {
-    r.requests_per_second =
-        static_cast<double>(r.d_requests) / r.interval_seconds;
-    r.shed_per_second = static_cast<double>(r.d_shed) / r.interval_seconds;
-    r.expired_per_second =
-        static_cast<double>(r.d_expired) / r.interval_seconds;
-    r.rows_per_second = static_cast<double>(r.d_rows) / r.interval_seconds;
-    r.edges_per_second = static_cast<double>(r.d_edges) / r.interval_seconds;
-    if (workers > 0) {
-      r.busy_fraction =
-          r.d_busy_seconds / (static_cast<double>(workers) *
-                              r.interval_seconds);
-    }
-  }
-  a.at = now;
-  a.stats = current;
-  return r;
 }
 
 }  // namespace radix::serve

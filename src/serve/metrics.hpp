@@ -1,42 +1,31 @@
-// Windowed metrics and export surface for the serving stack.
+// Export surface for the serving stack.
 //
-// ServeStats (serve/stats.hpp) is a cumulative, since-boot snapshot;
-// an operator wants "what is the shed rate RIGHT NOW" and a scraper
-// wants a stable named-series surface.  This header provides both:
-//
-//   * MetricsRegistry -- an ordered collection of metric families
-//     (counter / gauge / histogram), each holding labeled series.  The
-//     registry is a RENDER-TIME value, not a live store: Engine::
-//     export_metrics / ShardRouter::export_metrics rebuild it from
-//     StatsCollector snapshots and live gauges on every scrape, so
-//     there is no double bookkeeping on the hot path.  Two renderers:
-//     render_prometheus() emits the text exposition format (HELP/TYPE
-//     headers, cumulative `le` histogram buckets, _sum/_count), and
-//     to_json() a structured dump for programmatic consumers.
-//   * MetricsWindow -- turns cumulative ServeStats snapshots into rates
-//     over a rolling window: tick(key, stats) diffs against the
-//     previous snapshot under the same key and divides by the elapsed
-//     time on the injected clock.  Deltas of mergeable counters are
-//     exact (ServeStats::merge sums them), so cross-shard windowed
-//     rates computed from a merged fleet snapshot equal the sum of the
-//     per-shard rates -- pinned by test_serve_metrics.
+// ServeStats (serve/stats.hpp) is a cumulative, since-boot snapshot; a
+// scraper wants a stable named-series surface.  MetricsRegistry is an
+// ordered collection of metric families (counter / gauge / histogram),
+// each holding labeled series.  The registry is a RENDER-TIME value,
+// not a live store: ShardRouter::export_metrics, the one exporter,
+// rebuilds it from StatsCollector snapshots and live gauges on every
+// scrape, so there is no double bookkeeping on the hot path.  Two
+// renderers: render_prometheus() emits the text exposition format
+// (HELP/TYPE headers, cumulative `le` histogram buckets, _sum/_count),
+// and to_json() a structured dump for programmatic consumers.  Rates
+// are the scraper's job: it diffs the cumulative `_total` counters
+// between scrapes.
 //
 // Naming follows Prometheus conventions: `radix_serve_` prefix,
 // `_total` suffix on counters, base units (seconds) in histogram
-// names.  The standard label set is {class, shard}; the router's
-// export adds shard="<index>" per shard plus its own fleet-level
-// series (shard health, failover count).
+// names.  The standard label set is {class, shard}; the router adds
+// its own fleet-level series (shard health, failover count).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "serve/stats.hpp"
-#include "support/thread.hpp"
 
 namespace radix::serve {
 
@@ -104,56 +93,6 @@ class MetricsRegistry {
   Series& series(Family& fam, MetricLabels&& labels);
 
   std::vector<Family> families_;  // insertion-ordered for stable output
-};
-
-/// Rates computed from the delta between two cumulative snapshots.
-struct WindowedRates {
-  double interval_seconds = 0.0;
-
-  // Exact counter deltas over the window.
-  std::uint64_t d_requests = 0;
-  std::uint64_t d_shed = 0;
-  std::uint64_t d_expired = 0;
-  std::uint64_t d_errors = 0;
-  std::uint64_t d_rows = 0;
-  std::uint64_t d_batches = 0;
-  std::uint64_t d_edges = 0;
-  double d_busy_seconds = 0.0;
-
-  // Deltas over the interval (0 when the interval is empty).
-  double requests_per_second = 0.0;
-  double shed_per_second = 0.0;
-  double expired_per_second = 0.0;
-  double rows_per_second = 0.0;
-  double edges_per_second = 0.0;
-  /// d_busy_seconds / (workers * interval): the fraction of the fleet's
-  /// worker-time spent in forward passes this window.
-  double busy_fraction = 0.0;
-};
-
-/// Per-key delta tracker over an injected clock.  Call tick(key,
-/// snapshot) periodically; each call returns the rates since the
-/// previous tick of the same key (the first tick of a key anchors the
-/// window and returns zero rates over a zero interval).  Not
-/// thread-safe -- one window per observer thread.
-class MetricsWindow {
- public:
-  /// nullptr = the process steady clock (tests inject a FakeClock).
-  explicit MetricsWindow(ClockSource* clock = nullptr);
-
-  WindowedRates tick(const std::string& key, const ServeStats& current,
-                     unsigned workers = 1);
-
-  /// Forget a key (e.g. a retired model), re-anchoring its next tick.
-  void reset(const std::string& key);
-
- private:
-  struct Anchor {
-    ClockSource::time_point at{};
-    ServeStats stats;
-  };
-  ClockSource* clock_;
-  std::map<std::string, Anchor> anchors_;
 };
 
 }  // namespace radix::serve

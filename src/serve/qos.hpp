@@ -14,13 +14,14 @@
 //   * weight divides capacity *within* a class by weighted-deficit
 //     round-robin: over a backlogged interval, models of one class
 //     receive input rows proportional to their weights.
-//   * max_delay / max_batch_rows can be overridden per class (engine
-//     options) or per model, so interactive traffic can run with a tiny
-//     coalescing window while batch traffic keeps the big one.
+//   * max_delay / max_batch_rows can be overridden per model, so an
+//     interactive model can run with a tiny coalescing window while
+//     batch traffic keeps the big one.
 //
-// Resolution order for the knobs: per-model QosPolicy value if set,
-// else the engine's per-class override if set, else the engine-wide
-// default.  kUnsetDelay / 0 rows mean "inherit".
+// Resolution order for the knobs: the per-model QosPolicy value if
+// set, else the engine-wide default (EngineOptions).  kUnsetDelay /
+// 0 rows mean "inherit".  A model's QosPolicy plus the engine defaults
+// is therefore the whole policy it is served under.
 #pragma once
 
 #include <chrono>
@@ -48,12 +49,11 @@ inline constexpr const char* to_string(Priority p) noexcept {
   return "?";
 }
 
-/// Sentinel for "inherit the class/engine max_delay".
+/// Sentinel for "inherit the engine max_delay".
 inline constexpr std::chrono::microseconds kUnsetDelay{-1};
 
 /// Per-model service policy passed to add_model().  Unset fields
-/// (kUnsetDelay / 0 rows) inherit from the class override, then from the
-/// engine-wide defaults.
+/// (kUnsetDelay / 0 rows) inherit the engine-wide defaults.
 struct QosPolicy {
   Priority priority = Priority::kBatch;
   /// Weighted-deficit share within the class; must be >= 1 once resolved.
@@ -61,13 +61,6 @@ struct QosPolicy {
   /// Coalescing window override for this model; kUnsetDelay inherits.
   std::chrono::microseconds max_delay = kUnsetDelay;
   /// Batch row budget override for this model; 0 inherits.
-  index_t max_batch_rows = 0;
-};
-
-/// Per-class knob overrides (EngineOptions::class_policy); unset fields
-/// fall through to the engine-wide defaults.
-struct ClassPolicy {
-  std::chrono::microseconds max_delay = kUnsetDelay;
   index_t max_batch_rows = 0;
 };
 

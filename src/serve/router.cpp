@@ -6,6 +6,7 @@
 #include <span>
 #include <utility>
 
+#include "serve/metrics.hpp"
 #include "support/error.hpp"
 
 namespace radix::serve {
@@ -83,15 +84,16 @@ ShardRouter::ShardRouter(ShardRouterOptions options)
     f->engines.push_back(std::make_shared<Engine>(shard_options(s)));
   }
   f->health.assign(options_.shards, ShardHealth::kUp);
+  f->carried_out.assign(options_.shards, false);
   f->healthy.resize(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) f->healthy[s] = s;
-  fleet_.store(std::move(f), std::memory_order_release);
+  fleet_.store(std::move(f));
 }
 
 ShardRouter::~ShardRouter() { shutdown(); }
 
 std::shared_ptr<const ShardRouter::Fleet> ShardRouter::fleet() const {
-  return fleet_.load(std::memory_order_acquire);
+  return fleet_.load();
 }
 
 std::shared_ptr<ShardRouter::Fleet> ShardRouter::clone_fleet_locked() const {
@@ -103,8 +105,7 @@ void ShardRouter::publish_locked(std::shared_ptr<Fleet> next) {
   for (std::size_t s = 0; s < next->health.size(); ++s) {
     if (next->health[s] == ShardHealth::kUp) next->healthy.push_back(s);
   }
-  fleet_.store(std::shared_ptr<const Fleet>(std::move(next)),
-               std::memory_order_release);
+  fleet_.store(std::move(next));
 }
 
 ModelId ShardRouter::add_model(std::shared_ptr<const infer::SparseDnn> model,
@@ -123,11 +124,12 @@ ModelId ShardRouter::add_model(std::shared_ptr<const infer::SparseDnn> model,
   // lockstep.
   std::scoped_lock lock(admin_mutex_);
   RADIX_REQUIRE(!shutdown_, "ShardRouter: add_model after shutdown");
-  const ModelId id = registry_.size();
+  auto next = clone_fleet_locked();  // engines are stable under the lock
+  const ModelId id = next->models.size();
   name = detail::resolve_model_name(
       std::move(name), id,
       [&](const std::string& n) {
-        for (const auto& e : registry_) {
+        for (const auto& e : next->models) {
           if (!e.retired && e.name == n) return true;
         }
         return false;
@@ -135,14 +137,14 @@ ModelId ShardRouter::add_model(std::shared_ptr<const infer::SparseDnn> model,
       "ShardRouter");
   // Down shards are skipped: restart_shard replays the registry into
   // their replacements, so they pick this model up then.
-  const auto f = fleet();  // engines are stable under admin_mutex_
+  const auto& engines = next->engines;
   std::vector<std::size_t> registered;
-  registered.reserve(f->engines.size());
+  registered.reserve(engines.size());
   try {
-    for (std::size_t s = 0; s < f->engines.size(); ++s) {
-      if (f->health[s] == ShardHealth::kDown) continue;
+    for (std::size_t s = 0; s < engines.size(); ++s) {
+      if (next->health[s] == ShardHealth::kDown) continue;
       if (options_.registration_hook) options_.registration_hook(s, id);
-      const ModelId shard_id = f->engines[s]->add_model(model, name, qos);
+      const ModelId shard_id = engines[s]->add_model(model, name, qos);
       RADIX_ASSERT(shard_id == id, "ShardRouter: shard ids out of sync");
       registered.push_back(s);
     }
@@ -153,41 +155,45 @@ ModelId ShardRouter::add_model(std::shared_ptr<const infer::SparseDnn> model,
     // never reused); add_tombstone creates the same tombstone on the
     // untouched shards.  The registry records the burned id so restart
     // replays it too.
-    for (std::size_t s = 0; s < f->engines.size(); ++s) {
-      if (f->health[s] == ShardHealth::kDown) continue;
+    for (std::size_t s = 0; s < engines.size(); ++s) {
+      if (next->health[s] == ShardHealth::kDown) continue;
       const bool got = std::find(registered.begin(), registered.end(), s) !=
                        registered.end();
       if (got) {
-        f->engines[s]->remove_model(id);
+        engines[s]->remove_model(id);
       } else {
-        const ModelId t = f->engines[s]->add_tombstone();
+        const ModelId t = engines[s]->add_tombstone();
         RADIX_ASSERT(t == id, "ShardRouter: shard ids out of sync");
       }
     }
     ModelEntry burned;
     burned.retired = true;
-    registry_.push_back(std::move(burned));
+    next->models.push_back(std::move(burned));
+    publish_locked(std::move(next));
     throw;
   }
   ModelEntry entry;
   entry.dnn = std::move(model);
   entry.name = std::move(name);
   entry.qos = qos;
-  registry_.push_back(std::move(entry));
+  next->models.push_back(std::move(entry));
+  publish_locked(std::move(next));
   return id;
 }
 
 void ShardRouter::remove_model(ModelId id) {
   std::scoped_lock lock(admin_mutex_);
-  RADIX_REQUIRE(id < registry_.size(), "ShardRouter: unknown model id");
-  RADIX_REQUIRE(!registry_[id].retired, "ShardRouter: model already removed");
-  const auto f = fleet();
-  for (std::size_t s = 0; s < f->engines.size(); ++s) {
-    if (f->health[s] == ShardHealth::kDown) continue;
-    f->engines[s]->remove_model(id);
+  auto next = clone_fleet_locked();
+  RADIX_REQUIRE(id < next->models.size(), "ShardRouter: unknown model id");
+  RADIX_REQUIRE(!next->models[id].retired,
+                "ShardRouter: model already removed");
+  for (std::size_t s = 0; s < next->engines.size(); ++s) {
+    if (next->health[s] == ShardHealth::kDown) continue;
+    next->engines[s]->remove_model(id);
   }
-  registry_[id].retired = true;
-  registry_[id].dnn = nullptr;  // release the weights
+  next->models[id].retired = true;
+  next->models[id].dnn = nullptr;  // release the weights
+  publish_locked(std::move(next));
 }
 
 void ShardRouter::swap_model(ModelId id,
@@ -198,30 +204,30 @@ void ShardRouter::swap_model(ModelId id,
   // Engine::swap_model) finds them already built.
   dnn->prewarm();
   std::scoped_lock lock(admin_mutex_);
-  RADIX_REQUIRE(id < registry_.size(), "ShardRouter: unknown model id");
-  RADIX_REQUIRE(!registry_[id].retired,
+  auto next = clone_fleet_locked();
+  RADIX_REQUIRE(id < next->models.size(), "ShardRouter: unknown model id");
+  RADIX_REQUIRE(!next->models[id].retired,
                 "ShardRouter: cannot swap a removed model");
-  const auto f = fleet();
-  for (std::size_t s = 0; s < f->engines.size(); ++s) {
-    if (f->health[s] == ShardHealth::kDown) continue;
+  for (std::size_t s = 0; s < next->engines.size(); ++s) {
+    if (next->health[s] == ShardHealth::kDown) continue;
     // The first shard validates the version's shape; with one dnn for
     // every shard a later-shard failure is impossible, so the cutover
     // is all-or-nothing in practice.
-    f->engines[s]->swap_model(id, dnn);
+    next->engines[s]->swap_model(id, dnn);
   }
-  registry_[id].dnn = std::move(dnn);
-  ++registry_[id].version;
+  next->models[id].dnn = std::move(dnn);
+  ++next->models[id].version;
+  publish_locked(std::move(next));
 }
 
 ShardRouter::ModelEntry ShardRouter::model_entry(ModelId id) const {
-  std::scoped_lock lock(admin_mutex_);
-  RADIX_REQUIRE(id < registry_.size(), "ShardRouter: unknown model id");
-  return registry_[id];
+  const auto f = fleet();
+  RADIX_REQUIRE(id < f->models.size(), "ShardRouter: unknown model id");
+  return f->models[id];
 }
 
 std::vector<ShardRouter::ModelEntry> ShardRouter::models() const {
-  std::scoped_lock lock(admin_mutex_);
-  return registry_;
+  return fleet()->models;
 }
 
 std::size_t ShardRouter::num_shards() const noexcept {
@@ -257,30 +263,34 @@ void ShardRouter::drain_shard(std::size_t index) {
   f->engines[index]->quiesce();
 }
 
-void ShardRouter::kill_shard(std::size_t index) {
+std::size_t ShardRouter::kill_shard(std::size_t index) {
   std::scoped_lock lock(admin_mutex_);
   const auto f = fleet();
   RADIX_REQUIRE(index < f->engines.size(), "ShardRouter: unknown shard");
-  if (f->health[index] == ShardHealth::kDown) return;  // idempotent
+  if (f->health[index] == ShardHealth::kDown) return 0;  // idempotent
   // Out of rotation FIRST: the failover resubmissions triggered by the
   // abort below load the fleet snapshot and must not route back onto
-  // the shard being killed.
+  // the shard being killed.  Readers keep reading its ledger in place.
   auto next = clone_fleet_locked();
   next->health[index] = ShardHealth::kDown;
   publish_locked(std::move(next));
   // Orphaned requests complete inside abort() with AbortedError; the
   // capsule completion catches it and resubmits on a healthy shard, so
   // by the time abort returns every orphan is queued elsewhere.
-  f->engines[index]->abort();
+  Engine& dead = *f->engines[index];
+  const std::size_t orphaned = dead.abort();
   // abort() has joined the workers, so the dead engine's stats are
-  // final: fold them into the carried accumulator.  From here on the
-  // router reads only live engines -- a killed engine never learns of
-  // models added after its death and must not be asked about them.
-  std::scoped_lock stats_lock(carried_mutex_);
-  if (carried_.size() < registry_.size()) carried_.resize(registry_.size());
-  for (ModelId m = 0; m < registry_.size(); ++m) {
-    carried_[m].merge(f->engines[index]->stats(m));
+  // final: one publish moves them into the carried history and stops
+  // readers asking the engine.  A killed engine never learns of models
+  // added after its death and must not be asked about them.
+  next = clone_fleet_locked();
+  next->carried.resize(next->models.size());
+  for (ModelId m = 0; m < next->models.size(); ++m) {
+    next->carried[m].merge(dead.stats(m));
   }
+  next->carried_out[index] = true;
+  publish_locked(std::move(next));
+  return orphaned;
 }
 
 void ShardRouter::restart_shard(std::size_t index) {
@@ -302,10 +312,11 @@ void ShardRouter::restart_shard(std::size_t index) {
   }
   // kill_shard already carried the dead engine's stats; drop it.
   auto engine = std::make_shared<Engine>(shard_options(index));
-  replay_registry_locked(*engine);
+  replay_registry(*engine, f->models);
   auto next = clone_fleet_locked();
   next->engines[index] = std::move(engine);
   next->health[index] = ShardHealth::kUp;
+  next->carried_out[index] = false;
   publish_locked(std::move(next));
 }
 
@@ -322,9 +333,10 @@ EngineOptions ShardRouter::shard_options(std::size_t index) const {
   return eo;
 }
 
-void ShardRouter::replay_registry_locked(Engine& engine) const {
-  for (ModelId id = 0; id < registry_.size(); ++id) {
-    const ModelEntry& e = registry_[id];
+void ShardRouter::replay_registry(Engine& engine,
+                                  const std::vector<ModelEntry>& models) {
+  for (ModelId id = 0; id < models.size(); ++id) {
+    const ModelEntry& e = models[id];
     if (e.retired) {
       // Removed models and rollback-burned ids alike: the slot exists,
       // rejects traffic, and keeps the id space in lockstep.
@@ -449,11 +461,13 @@ bool ShardRouter::failover(const std::shared_ptr<Relay>& relay) {
       failovers_.fetch_add(1, std::memory_order_relaxed);
       // The trace attributes the hop to the shard that ACCEPTED the
       // resubmission -- the destination, where the request now lives.
+      // Failover runs inside kill_shard, which holds admin_mutex_, so
+      // the snapshot's registry already holds every admitted id.
       if (Tracer* const tracer = options_.engine.tracer) {
         tracer->record(relay->id, TraceEventKind::kFailover,
                        static_cast<std::uint16_t>(index),
                        static_cast<std::uint32_t>(relay->model),
-                       f->engines[index]->model_priority(relay->model),
+                       f->models[relay->model].qos.priority,
                        static_cast<std::uint32_t>(relay->rows));
       }
       return true;
@@ -462,7 +476,7 @@ bool ShardRouter::failover(const std::shared_ptr<Relay>& relay) {
 }
 
 SubmitResult ShardRouter::submit(InferenceRequest req, SubmitOptions opts) {
-  // One atomic snapshot load, no lock: lifecycle publishes (kill,
+  // One snapshot load, never admin_mutex_: lifecycle publishes (kill,
   // drain, restart, swap) never stall the hot path.  No id pre-check
   // either -- the shard engine validates req.model and throws the same
   // unknown-model error.
@@ -509,52 +523,98 @@ SubmitResult ShardRouter::submit(InferenceRequest req, SubmitOptions opts) {
   return SubmitResult::rejected();
 }
 
-ServeStats ShardRouter::stats(ModelId model) const {
+ServeStats ShardRouter::stats_in(const Fleet& fleet, ModelId model) {
+  RADIX_REQUIRE(model < fleet.models.size(), "ShardRouter: unknown model id");
   ServeStats merged;
-  {
-    std::scoped_lock lock(carried_mutex_);
-    if (model < carried_.size()) merged = carried_[model];
-  }
-  const auto f = fleet();
-  for (std::size_t s = 0; s < f->engines.size(); ++s) {
-    if (f->health[s] != ShardHealth::kDown) {
-      merged.merge(f->engines[s]->stats(model));
-    }
+  if (model < fleet.carried.size()) merged = fleet.carried[model];
+  for (std::size_t s = 0; s < fleet.engines.size(); ++s) {
+    if (!fleet.carried_out[s]) merged.merge(fleet.engines[s]->stats(model));
   }
   return merged;
+}
+
+ServeStats ShardRouter::stats(ModelId model) const {
+  return stats_in(*fleet(), model);
 }
 
 ServeStats ShardRouter::class_stats(Priority p) const {
   RADIX_REQUIRE(static_cast<std::size_t>(p) < kNumPriorities,
                 "ShardRouter: invalid priority class");
-  // The class's ids (registry_ keeps a removed model's QoS), copied
-  // under the lock; stats() then brings each id's live shards and
-  // carried history, so killed shards stay in their class.
-  std::vector<ModelId> ids;
-  {
-    std::scoped_lock lock(admin_mutex_);
-    for (ModelId m = 0; m < registry_.size(); ++m) {
-      if (registry_[m].qos.priority == p) ids.push_back(m);
-    }
-  }
+  // The registry keeps a removed model's QoS, and each id brings its
+  // shards and carried history, so killed shards stay in their class.
+  const auto f = fleet();
   ServeStats merged;
-  for (const ModelId m : ids) merged.merge(stats(m));
+  for (ModelId m = 0; m < f->models.size(); ++m) {
+    if (f->models[m].qos.priority == p) merged.merge(stats_in(*f, m));
+  }
   return merged;
 }
 
 void ShardRouter::export_metrics(MetricsRegistry& registry) const {
   const auto f = fleet();
   for (std::size_t s = 0; s < f->engines.size(); ++s) {
+    const std::string shard = std::to_string(s);
     registry.set_gauge(
-        "radix_serve_shard_health",
-        {{"shard", std::to_string(s)}},
+        "radix_serve_shard_health", {{"shard", shard}},
         static_cast<double>(static_cast<std::uint8_t>(f->health[s])),
         "Shard lifecycle state: 0 up, 1 draining, 2 down");
     // A down shard's engine is stopped; its history lives on in the
     // carried accumulator and the siblings' series.  Only live shards
     // contribute engine series.
     if (f->health[s] == ShardHealth::kDown) continue;
-    f->engines[s]->export_metrics(registry);
+    const Engine& engine = *f->engines[s];
+    for (std::size_t c = 0; c < kNumPriorities; ++c) {
+      const auto p = static_cast<Priority>(c);
+      const ServeStats st = engine.class_stats(p);
+      std::size_t depth = 0;
+      for (ModelId m = 0; m < f->models.size(); ++m) {
+        const ModelEntry& e = f->models[m];
+        if (!e.retired && e.qos.priority == p) depth += engine.pending(m);
+      }
+      const MetricLabels labels{{"class", std::string(to_string(p))},
+                                {"shard", shard}};
+      registry.set_counter("radix_serve_requests_total", labels,
+                           static_cast<double>(st.requests),
+                           "Requests completed (including shed/expired)");
+      registry.set_counter("radix_serve_shed_total", labels,
+                           static_cast<double>(st.shed),
+                           "Requests dropped by the overload policy");
+      registry.set_counter("radix_serve_expired_total", labels,
+                           static_cast<double>(st.expired),
+                           "Requests whose e2e deadline passed before claim");
+      registry.set_counter("radix_serve_errors_total", labels,
+                           static_cast<double>(st.errors),
+                           "Requests completed with an exception");
+      registry.set_counter("radix_serve_rows_total", labels,
+                           static_cast<double>(st.rows), "Input rows served");
+      registry.set_counter("radix_serve_batches_total", labels,
+                           static_cast<double>(st.batches),
+                           "Coalesced batches executed");
+      registry.set_counter("radix_serve_edges_total", labels,
+                           static_cast<double>(st.edges),
+                           "Edges processed (batch rows x model nnz)");
+      registry.set_counter("radix_serve_busy_seconds_total", labels,
+                           st.busy_seconds, "Summed forward wall time");
+      registry.set_gauge("radix_serve_queue_depth", labels,
+                         static_cast<double>(depth),
+                         "Admitted requests not yet claimed by a worker");
+      registry.set_histogram("radix_serve_e2e_latency_seconds", labels,
+                             st.e2e_hist, "Submit-to-completion latency");
+      registry.set_histogram("radix_serve_queue_wait_seconds", labels,
+                             st.queue_wait_hist, "Submit-to-claim latency");
+      registry.set_histogram("radix_serve_batch_rows", labels,
+                             st.batch_rows_hist, "Coalesced batch sizes");
+    }
+    const MetricLabels shard_labels{{"shard", shard}};
+    const unsigned workers = engine.num_workers();
+    registry.set_gauge("radix_serve_workers", shard_labels,
+                       static_cast<double>(workers),
+                       "Worker threads in the pool");
+    registry.set_gauge(
+        "radix_serve_worker_busy_fraction", shard_labels,
+        workers == 0 ? 0.0
+                     : static_cast<double>(engine.busy_workers()) / workers,
+        "Fraction of workers inside a claimed batch right now");
   }
   registry.set_counter("radix_serve_failovers_total", {},
                        static_cast<double>(failovers()),
@@ -573,18 +633,18 @@ std::size_t ShardRouter::pending(ModelId model) const {
 }
 
 std::size_t ShardRouter::num_models() const {
-  std::scoped_lock lock(admin_mutex_);
+  const auto f = fleet();
   std::size_t live = 0;
-  for (const auto& e : registry_) {
+  for (const auto& e : f->models) {
     if (!e.retired) ++live;
   }
   return live;
 }
 
 std::optional<ModelId> ShardRouter::find_model(std::string_view name) const {
-  std::scoped_lock lock(admin_mutex_);
-  for (ModelId id = 0; id < registry_.size(); ++id) {
-    if (!registry_[id].retired && registry_[id].name == name) return id;
+  const auto f = fleet();
+  for (ModelId id = 0; id < f->models.size(); ++id) {
+    if (!f->models[id].retired && f->models[id].name == name) return id;
   }
   return std::nullopt;
 }

@@ -15,8 +15,8 @@
 //     shards and across the router.  remove_model / swap_model apply
 //     the Engine lifecycle fleet-wide (see engine.hpp).  The router's
 //     own registry is the one authority on what is registered:
-//     model_entry() and models() answer from it, never from a shard,
-//     so they stay right while any shard is down.
+//     find_model(), model_entry() and models() answer from it, never
+//     from a shard, so they stay right while any shard is down.
 //   * submit picks the shard by power-of-two-choices on queue depth:
 //     two random in-rotation shards are probed and the request goes to
 //     the one with fewer pending requests for its model.  That is one
@@ -29,12 +29,15 @@
 //     and batch rows are independent under the challenge forward rule,
 //     so outputs are bit-identical to a direct fused forward of the
 //     same rows no matter which shard serves them or how they coalesce.
-//   * stats() merges the live shards' snapshots with ServeStats::merge
+//   * stats() merges the shards' snapshots with ServeStats::merge
 //     (bucket-wise Log2Histogram::merge) -- plus the carried history
 //     of shards that have since been killed -- so the aggregate
 //     percentiles equal those of a histogram fed every shard's samples;
 //     pending() sums live shards; shutdown() drains every shard
 //     (admitted requests all complete).
+//   * export_metrics() is the one exporter: it builds every series --
+//     per-shard {class, shard} counters, gauges and histograms, shard
+//     health, the failover counter -- from one fleet snapshot.
 //
 // Health and failover
 // -------------------
@@ -47,10 +50,11 @@
 //   * kill_shard(i): crash-shaped stop (fault injection, emergency
 //     excision): the shard aborts; every request it had admitted but
 //     not yet claimed fails over -- the router resubmits it on a
-//     healthy shard before kill_shard returns.  The dead engine's
-//     stats are then folded into a carried accumulator, and from there
-//     on the router reads only live engines -- kills never lose
-//     history from stats().
+//     healthy shard before kill_shard returns, which reports how many
+//     it orphaned.  The dead engine's stats then move into the carried
+//     history in the same publish that stops readers asking the
+//     engine, so stats() sees them in exactly one place at any moment
+//     -- kills never lose history.
 //   * restart_shard(i): return a drained shard to rotation, or replace
 //     a down shard with a fresh engine carrying the full model registry
 //     (including removed-model tombstones and swap version counters, so
@@ -70,10 +74,14 @@
 // shard has been tried (or none is in rotation) does the error reach
 // the caller.  failovers() counts successful resubmissions.
 //
-// The routing state (engine pointers + health) is a copy-on-write
-// snapshot behind an atomic shared_ptr, exactly like the Engine model
-// registry: the submit hot path loads it without taking any lock, and
-// the admin calls publish new snapshots under a mutation mutex.
+// All router state -- engine pointers, health, the model registry and
+// the killed shards' carried history -- is one copy-on-write snapshot
+// (support/thread.hpp's Snapshot), exactly like the Engine model
+// registry.  Every read (the submit hot path, stats, the registry
+// lookups, the exporter) copies it once, holding the snapshot's mutex
+// only for that pointer copy; the admin calls clone, edit and publish
+// under admin_mutex_, which only serializes writers, so no read ever
+// waits on a drain or a kill.
 //
 // The cost of independence: coalescing quality.  Traffic that one
 // engine would merge into a single 32-row batch lands on N shards as N
@@ -98,8 +106,11 @@
 #include "serve/backend.hpp"
 #include "serve/engine.hpp"
 #include "serve/qos.hpp"
+#include "support/thread.hpp"
 
 namespace radix::serve {
+
+class MetricsRegistry;  // serve/metrics.hpp
 
 namespace detail {
 
@@ -192,7 +203,7 @@ class ShardRouter final : public Backend {
   /// references obtained before that point dangle after it.
   const Engine& shard(std::size_t index) const;
 
-  /// Current health of one shard (lock-free snapshot read).
+  /// Current health of one shard (one snapshot read).
   ShardHealth shard_health(std::size_t index) const;
 
   /// One row of the router's model registry.
@@ -222,9 +233,11 @@ class ShardRouter final : public Backend {
   /// excision).  The shard is taken out of rotation FIRST, then
   /// aborted: requests it had admitted but not claimed fail over to
   /// healthy shards inside this call (see the file comment); claimed
-  /// batches finish.  Its stats then move into the carried
-  /// accumulator.  Idempotent; restart_shard brings a replacement.
-  void kill_shard(std::size_t index);
+  /// batches finish.  Its stats then move into the carried history.
+  /// Returns how many queued requests the abort orphaned (0 when the
+  /// shard was already down).  Idempotent; restart_shard brings a
+  /// replacement.
+  std::size_t kill_shard(std::size_t index);
 
   /// Return shard `index` to rotation.  A draining shard simply
   /// re-enters rotation.  A down shard is replaced by a fresh engine
@@ -243,12 +256,16 @@ class ShardRouter final : public Backend {
   /// background shed counts through this.
   ServeStats class_stats(Priority p) const;
 
-  /// Merged fleet view for the export surface: every live shard's
-  /// Engine::export_metrics series (distinguished by their `shard`
-  /// label), plus per-shard radix_serve_shard_health gauges (the
-  /// ShardHealth enum value: 0 up, 1 draining, 2 down) and the
-  /// router-level radix_serve_failovers_total counter.  Down shards
-  /// contribute their health gauge but no engine series.
+  /// Publish the fleet's state into `registry` as the radix_serve_*
+  /// family set, all from one snapshot.  Per shard, in shard order: its
+  /// radix_serve_shard_health gauge (the ShardHealth value: 0 up, 1
+  /// draining, 2 down), then -- unless it is down -- its series labeled
+  /// {class, shard}: the counters and histograms of
+  /// Engine::class_stats(class), the queue-depth gauge (the engine's
+  /// pending requests over the live models of that class), then the
+  /// {shard} worker and busy-fraction gauges.  Last, the router-level
+  /// radix_serve_failovers_total counter.  Rebuilt per scrape from
+  /// collector snapshots -- nothing here touches the hot path.
   void export_metrics(MetricsRegistry& registry) const;
 
   // -- Backend interface --------------------------------------------------
@@ -264,9 +281,8 @@ class ShardRouter final : public Backend {
   /// in rotation.
   SubmitResult submit(InferenceRequest req, SubmitOptions opts = {}) override;
 
-  /// Aggregate view across live shards (histograms merged bucket-wise),
-  /// including the carried history of killed shards.  While kill_shard
-  /// runs, the dying shard's share is briefly in neither place.
+  /// Aggregate view across the shards (histograms merged bucket-wise),
+  /// including the carried history of killed shards.
   ServeStats stats(ModelId model) const override;
 
   /// Sum of the live shards' pending requests for `model`.
@@ -284,15 +300,25 @@ class ShardRouter final : public Backend {
   bool accepting() const override;
 
  private:
-  // The copy-on-write routing snapshot: everything the submit hot path
-  // needs, behind one atomic load.  `healthy` lists the kUp shard
-  // indices so the pick never scans or allocates.  Engines are held by
-  // shared_ptr so a snapshot taken just before a restart keeps the old
-  // engine alive until its last in-flight submit returns.
+  // The copy-on-write router state: everything any read needs, behind
+  // one snapshot load.  `healthy` lists the kUp shard indices so the pick
+  // never scans or allocates.  Engines are held by shared_ptr so a
+  // snapshot taken just before a restart keeps the old engine alive
+  // until its last reader returns.
   struct Fleet {
     std::vector<std::shared_ptr<Engine>> engines;
     std::vector<ShardHealth> health;
     std::vector<std::size_t> healthy;
+    /// Per shard: its engine's ledger has moved into `carried`, so
+    /// readers no longer ask that engine.  Set by kill_shard once the
+    /// abort has joined -- until then the dying shard's ledger is read
+    /// in place -- and cleared by restart_shard's replacement.
+    std::vector<bool> carried_out;
+    /// The registry authority, indexed by id; restart_shard rebuilds a
+    /// shard from it.
+    std::vector<ModelEntry> models;
+    /// Stats of engines kill_shard stopped, merged per model id.
+    std::vector<ServeStats> carried;
   };
 
   struct Relay;  // failover capsule; defined in router.cpp
@@ -302,8 +328,11 @@ class ShardRouter final : public Backend {
   std::shared_ptr<Fleet> clone_fleet_locked() const;
   /// Recompute `healthy` and publish; caller holds admin_mutex_.
   void publish_locked(std::shared_ptr<Fleet> next);
-  /// Register registry_ (tombstones, versions and all) on a new engine.
-  void replay_registry_locked(Engine& engine) const;
+  /// Register `models` (tombstones, versions and all) on a new engine.
+  static void replay_registry(Engine& engine,
+                              const std::vector<ModelEntry>& models);
+  /// stats(model) as seen by one snapshot.
+  static ServeStats stats_in(const Fleet& fleet, ModelId model);
   /// Two-choice pick among fleet.healthy; SIZE_MAX when none.
   std::size_t pick_shard(const Fleet& fleet, ModelId model) const;
   /// First of fleet.healthy not set in the `tried` bitmap; SIZE_MAX
@@ -325,17 +354,10 @@ class ShardRouter final : public Backend {
   /// FakeClock tests observe deterministic remaining budgets.
   ClockSource* clock_ = nullptr;
 
-  std::atomic<std::shared_ptr<const Fleet>> fleet_;
+  Snapshot<Fleet> fleet_;
 
-  mutable std::mutex admin_mutex_;  // serializes lifecycle + registry
-  // The registry authority; restart_shard rebuilds a shard from it.
-  std::vector<ModelEntry> registry_;
-  bool shutdown_ = false;
-
-  // Stats of engines that kill_shard stopped, merged per model id; its
-  // own mutex so stats() never waits on a drain holding admin_mutex_.
-  mutable std::mutex carried_mutex_;
-  std::vector<ServeStats> carried_;
+  std::mutex admin_mutex_;  // serializes the writers of fleet_
+  bool shutdown_ = false;   // guarded by admin_mutex_
 
   std::atomic<std::uint64_t> failovers_{0};
 };

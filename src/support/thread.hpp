@@ -13,6 +13,9 @@
 //                     idempotent and the destructor always joins, so a
 //                     throwing constructor or early return can never leak
 //                     a running thread.
+//   * Snapshot     -- a copy-on-write slot: readers copy the current
+//                     shared_ptr, a writer swaps in the next one (the
+//                     engine's model registry, the router's fleet).
 //   * ClockSource  -- injectable time for anything that mixes condition-
 //                     variable waits with deadlines (the micro-batcher's
 //                     coalescing window, bounded-wait admission).
@@ -27,6 +30,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -72,6 +76,32 @@ class ThreadGroup {
 
  private:
   std::vector<std::thread> threads_;
+};
+
+/// A copy-on-write snapshot slot.  load() copies the current value and
+/// store() swaps in the next; the mutex is held only for that pointer
+/// copy or swap, never while a writer builds the next value, so a reader
+/// never waits on a writer's work.  Not std::atomic<std::shared_ptr>:
+/// libstdc++ 12's load() ends with a relaxed unlock, so a load does not
+/// happen-before the next store and ThreadSanitizer reports the pair.
+template <typename T>
+class Snapshot {
+ public:
+  std::shared_ptr<const T> load() const {
+    std::scoped_lock lock(mutex_);
+    return value_;
+  }
+
+  /// `next` takes the previous value, which is therefore released only
+  /// after the mutex is unlocked.
+  void store(std::shared_ptr<const T> next) {
+    std::scoped_lock lock(mutex_);
+    value_.swap(next);
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::shared_ptr<const T> value_;
 };
 
 /// Worker-count default for thread pools: the hardware concurrency, with

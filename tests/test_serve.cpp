@@ -393,35 +393,40 @@ TEST(ServeEngine, StatsPercentilesAreOrdered) {
   EXPECT_FALSE(to_string(s).empty());
 }
 
-TEST(ServeEngineQos, ModelPolicyResolvesClassOverridesThenDefaults) {
+TEST(ServeEngineQos, ModelPolicyIsModelValueElseEngineDefault) {
   const auto m = make_model(1024, 2, 30);
   EngineOptions opts;
   opts.workers = 1;
   opts.max_batch_rows = 64;
   opts.max_delay = 300us;
-  opts.class_policy[static_cast<std::size_t>(Priority::kInteractive)] = {
-      .max_delay = 50us, .max_batch_rows = 4};
   Engine engine(opts);
 
   const auto plain = engine.add_model(m.dnn, "plain");
   const auto chat = engine.add_model(
-      m.dnn, "chat", {.priority = Priority::kInteractive, .weight = 4});
+      m.dnn, "chat",
+      {.priority = Priority::kInteractive,
+       .weight = 4,
+       .max_delay = 50us,
+       .max_batch_rows = 4});
   const auto custom = engine.add_model(
       m.dnn, "custom",
       {.priority = Priority::kInteractive, .max_delay = 10us});
 
-  // Engine defaults for an un-overridden batch-class model.
+  // Engine defaults for a model that sets nothing.
   EXPECT_EQ(engine.model_policy(plain).priority, Priority::kBatch);
   EXPECT_EQ(engine.model_policy(plain).weight, 1u);
   EXPECT_EQ(engine.model_policy(plain).max_delay, 300us);
   EXPECT_EQ(engine.model_policy(plain).max_batch_rows, 64u);
-  // Class override fills unset per-model fields.
+  // Every per-model value is served as given.
+  EXPECT_EQ(engine.model_policy(chat).priority, Priority::kInteractive);
+  EXPECT_EQ(engine.model_policy(chat).weight, 4u);
   EXPECT_EQ(engine.model_policy(chat).max_delay, 50us);
   EXPECT_EQ(engine.model_policy(chat).max_batch_rows, 4u);
-  EXPECT_EQ(engine.model_policy(chat).weight, 4u);
-  // A per-model value beats the class override.
+  // A field the model leaves unset takes the engine default, whatever
+  // its class: nothing sits between the model and the engine.
   EXPECT_EQ(engine.model_policy(custom).max_delay, 10us);
-  EXPECT_EQ(engine.model_policy(custom).max_batch_rows, 4u);
+  EXPECT_EQ(engine.model_policy(custom).max_batch_rows, 64u);
+  EXPECT_EQ(engine.model_policy(custom).weight, 1u);
 }
 
 TEST(ServeEngineQos, ClassStatsAggregatePerPriority) {

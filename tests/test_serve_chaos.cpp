@@ -118,10 +118,6 @@ TEST(ServeChaos, ShardChurnUnderBurstyLoadLosesNothing) {
         << "burst never landed queued work on shard " << shard;
   };
 
-  const auto orphans_of = [&](std::size_t shard) {
-    return router.shard(shard).pending(a) + router.shard(shard).pending(b);
-  };
-
   // Inhomogeneous Poisson arrivals by thinning: candidates at the peak
   // rate (one per ~50us), accepted with probability lambda(t)/lambda_max
   // following a 3ms sinusoid -- alternating busy and quiet stretches.
@@ -145,9 +141,8 @@ TEST(ServeChaos, ShardChurnUnderBurstyLoadLosesNothing) {
     switch (accepted) {
       case 60: {
         burst_onto(0);
-        const auto orphans = orphans_of(0);
         const auto before = router.failovers();
-        router.kill_shard(0);
+        const std::size_t orphans = router.kill_shard(0);
         EXPECT_EQ(router.failovers(), before + orphans)
             << "kill must fail over exactly the orphaned requests";
         failovers_expected += orphans;
@@ -178,9 +173,8 @@ TEST(ServeChaos, ShardChurnUnderBurstyLoadLosesNothing) {
         break;
       case 260: {
         burst_onto(2);
-        const auto orphans = orphans_of(2);
         const auto before = router.failovers();
-        router.kill_shard(2);
+        const std::size_t orphans = router.kill_shard(2);
         EXPECT_EQ(router.failovers(), before + orphans);
         failovers_expected += orphans;
         break;

@@ -590,7 +590,7 @@ void expect_unserved(const ThrowingDone& t) {
 // the model view counts.
 void expect_class_equals_model(const Engine& engine, ModelId id) {
   const auto s = engine.stats(id);
-  const auto c = engine.class_stats(engine.model_priority(id));
+  const auto c = engine.class_stats(engine.model_policy(id).priority);
   EXPECT_EQ(c.requests, s.requests);
   EXPECT_EQ(c.errors, s.errors);
   EXPECT_EQ(c.shed, s.shed);

@@ -1,25 +1,24 @@
 // Metrics-surface tests: the registry's Prometheus exposition and JSON
 // must render exactly what was set (kind headers, label blocks,
-// cumulative histogram buckets); MetricsWindow's deltas must equal the
-// hand-computed difference of two snapshots over FakeClock time -- and
-// merge exactly across shards; Engine/ShardRouter::export_metrics must
-// publish the documented radix_serve_* series.  Sized for TSan
-// (`serve` CTest label).
+// cumulative histogram buckets); ShardRouter::export_metrics, the one
+// exporter, must publish the documented radix_serve_* series in the
+// documented order, each equal to the shard state it reports.  Sized
+// for TSan (`serve` CTest label).
 #include "serve/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "radixnet/graph_challenge.hpp"
-#include "serve/engine.hpp"
 #include "serve/router.hpp"
 #include "support/error.hpp"
 #include "support/random.hpp"
-#include "support/thread.hpp"
 
 namespace radix::serve {
 namespace {
@@ -154,140 +153,21 @@ TEST(MetricsRegistry, EscapesHelpTextPerExpositionFormat) {
       << json;
 }
 
-TEST(MetricsWindow, DeltasMatchHandComputedDifferenceOverFakeTime) {
-  FakeClock clock;
-  MetricsWindow window(&clock);
-
-  ServeStats t0;
-  t0.requests = 100;
-  t0.shed = 10;
-  t0.expired = 4;
-  t0.errors = 14;
-  t0.rows = 400;
-  t0.batches = 25;
-  t0.edges = 1'000'000;
-  t0.busy_seconds = 3.0;
-
-  // First tick anchors: zero interval, zero deltas.
-  const WindowedRates first = window.tick("k", t0, /*workers=*/2);
-  EXPECT_DOUBLE_EQ(first.interval_seconds, 0.0);
-  EXPECT_EQ(first.d_requests, 0u);
-  EXPECT_DOUBLE_EQ(first.requests_per_second, 0.0);
-
-  ServeStats t1 = t0;
-  t1.requests = 250;  // +150 over 2s -> 75 rps
-  t1.shed = 30;       // +20 -> 10/s
-  t1.expired = 8;     // +4 -> 2/s
-  t1.errors = 38;
-  t1.rows = 1000;         // +600 -> 300/s
-  t1.batches = 75;        // +50
-  t1.edges = 5'000'000;   // +4e6 -> 2e6/s
-  t1.busy_seconds = 6.0;  // +3 over 2 workers * 2s -> 0.75 busy
-  clock.advance(2s);
-
-  const WindowedRates r = window.tick("k", t1, /*workers=*/2);
-  EXPECT_DOUBLE_EQ(r.interval_seconds, 2.0);
-  EXPECT_EQ(r.d_requests, 150u);
-  EXPECT_EQ(r.d_shed, 20u);
-  EXPECT_EQ(r.d_expired, 4u);
-  EXPECT_EQ(r.d_errors, 24u);
-  EXPECT_EQ(r.d_rows, 600u);
-  EXPECT_EQ(r.d_batches, 50u);
-  EXPECT_EQ(r.d_edges, 4'000'000u);
-  EXPECT_DOUBLE_EQ(r.d_busy_seconds, 3.0);
-  EXPECT_DOUBLE_EQ(r.requests_per_second, 75.0);
-  EXPECT_DOUBLE_EQ(r.shed_per_second, 10.0);
-  EXPECT_DOUBLE_EQ(r.expired_per_second, 2.0);
-  EXPECT_DOUBLE_EQ(r.rows_per_second, 300.0);
-  EXPECT_DOUBLE_EQ(r.edges_per_second, 2'000'000.0);
-  EXPECT_DOUBLE_EQ(r.busy_fraction, 0.75);
-
-  // The tick re-anchored: an immediate re-tick with the same snapshot
-  // is a zero-width window, rates stay finite (0), deltas zero.
-  const WindowedRates z = window.tick("k", t1, 2);
-  EXPECT_DOUBLE_EQ(z.interval_seconds, 0.0);
-  EXPECT_EQ(z.d_requests, 0u);
-  EXPECT_DOUBLE_EQ(z.requests_per_second, 0.0);
-
-  // A backwards counter (collector restart) clamps to zero, not wraps.
-  ServeStats t2 = t1;
-  t2.requests = 50;
-  clock.advance(1s);
-  const WindowedRates back = window.tick("k", t2, 2);
-  EXPECT_EQ(back.d_requests, 0u);
-
-  // reset() forgets the anchor: the next tick re-anchors.
-  window.reset("k");
-  clock.advance(1s);
-  const WindowedRates fresh = window.tick("k", t2, 2);
-  EXPECT_DOUBLE_EQ(fresh.interval_seconds, 0.0);
-}
-
-TEST(MetricsWindow, CrossShardMergeOfWindowedDeltasIsExact) {
-  // Two shards, one merged fleet view: the merged snapshot's windowed
-  // deltas must equal the SUM of the per-shard windowed deltas,
-  // exactly, uint64 for uint64 -- what the ISSUE calls the cross-shard
-  // merge contract.  Independent keys give each stream its own anchor.
-  FakeClock clock;
-  MetricsWindow window(&clock);
-
-  ServeStats a0, b0;
-  a0.requests = 10;
-  a0.shed = 1;
-  a0.edges = 1000;
-  b0.requests = 20;
-  b0.shed = 2;
-  b0.edges = 3000;
-  ServeStats m0 = a0;
-  m0.merge(b0);
-
-  (void)window.tick("a", a0);
-  (void)window.tick("b", b0);
-  (void)window.tick("merged", m0);
-
-  clock.advance(500ms);
-  ServeStats a1 = a0, b1 = b0;
-  a1.requests = 45;  // +35
-  a1.shed = 6;       // +5
-  a1.edges = 4000;   // +3000
-  b1.requests = 31;  // +11
-  b1.shed = 2;       // +0
-  b1.edges = 3700;   // +700
-  ServeStats m1 = a1;
-  m1.merge(b1);
-
-  const WindowedRates ra = window.tick("a", a1);
-  const WindowedRates rb = window.tick("b", b1);
-  const WindowedRates rm = window.tick("merged", m1);
-  EXPECT_EQ(rm.d_requests, ra.d_requests + rb.d_requests);
-  EXPECT_EQ(rm.d_requests, 46u);
-  EXPECT_EQ(rm.d_shed, ra.d_shed + rb.d_shed);
-  EXPECT_EQ(rm.d_shed, 5u);
-  EXPECT_EQ(rm.d_edges, ra.d_edges + rb.d_edges);
-  EXPECT_EQ(rm.d_edges, 3700u);
-  EXPECT_DOUBLE_EQ(rm.interval_seconds, 0.5);
-  EXPECT_DOUBLE_EQ(rm.requests_per_second,
-                   ra.requests_per_second + rb.requests_per_second);
-  EXPECT_DOUBLE_EQ(rm.requests_per_second, 92.0);
-  EXPECT_DOUBLE_EQ(rm.edges_per_second, 7400.0);
-}
-
-TEST(EngineMetrics, ExportPublishesTheDocumentedSeries) {
+TEST(RouterMetrics, ExportPublishesTheDocumentedSeries) {
   const auto dnn = make_dnn(1024, 2, 51);
-  Engine engine({.workers = 1, .max_delay = 0us, .shard_index = 3});
-  const auto id = engine.add_model(dnn, "m",
+  ShardRouter router({.shards = 1, .engine = {.workers = 1, .max_delay = 0us}});
+  const auto id = router.add_model(dnn, "m",
                                    {.priority = Priority::kInteractive});
   Rng irng(52);
   const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(engine.submit(InferenceRequest::borrowed(id, x, 1)).get().size(),
+    EXPECT_EQ(router.submit(InferenceRequest::borrowed(id, x, 1)).get().size(),
               1024u);
   }
-  engine.quiesce();
 
   MetricsRegistry reg;
-  engine.export_metrics(reg);
-  const MetricLabels inter{{"class", "interactive"}, {"shard", "3"}};
+  router.export_metrics(reg);
+  const MetricLabels inter{{"class", "interactive"}, {"shard", "0"}};
   const double* requests = reg.find("radix_serve_requests_total", inter);
   ASSERT_NE(requests, nullptr);
   EXPECT_DOUBLE_EQ(*requests, 5.0);
@@ -296,9 +176,11 @@ TEST(EngineMetrics, ExportPublishesTheDocumentedSeries) {
   EXPECT_DOUBLE_EQ(*shed, 0.0);
   const double* depth = reg.find("radix_serve_queue_depth", inter);
   ASSERT_NE(depth, nullptr);
-  EXPECT_DOUBLE_EQ(*depth, 0.0) << "quiesced engine has nothing queued";
-  EXPECT_EQ(engine.class_pending(Priority::kInteractive), 0u);
-  EXPECT_EQ(engine.busy_workers(), 0u);
+  EXPECT_DOUBLE_EQ(*depth, 0.0) << "every request was answered";
+  const double* busy =
+      reg.find("radix_serve_worker_busy_fraction", {{"shard", "0"}});
+  ASSERT_NE(busy, nullptr);
+  EXPECT_DOUBLE_EQ(*busy, 0.0);
 
   // Every documented family renders; the exposition parses as
   // one-metric-per-line text.
@@ -310,18 +192,151 @@ TEST(EngineMetrics, ExportPublishesTheDocumentedSeries) {
         "radix_serve_edges_total", "radix_serve_busy_seconds_total",
         "radix_serve_queue_depth", "radix_serve_worker_busy_fraction",
         "radix_serve_workers", "radix_serve_e2e_latency_seconds",
-        "radix_serve_queue_wait_seconds", "radix_serve_batch_rows"}) {
+        "radix_serve_queue_wait_seconds", "radix_serve_batch_rows",
+        "radix_serve_shard_health", "radix_serve_failovers_total"}) {
     EXPECT_TRUE(contains(text, std::string("# TYPE ") + family))
         << "missing family " << family;
   }
   // The e2e histogram saw all five requests.
   EXPECT_TRUE(contains(
       text, "radix_serve_e2e_latency_seconds_count{class=\"interactive\","
-            "shard=\"3\"} 5\n"))
+            "shard=\"0\"} 5\n"))
       << text;
-  const double* workers = reg.find("radix_serve_workers", {{"shard", "3"}});
+  const double* workers = reg.find("radix_serve_workers", {{"shard", "0"}});
   ASSERT_NE(workers, nullptr);
   EXPECT_DOUBLE_EQ(*workers, 1.0);
+}
+
+// The family names of an exposition, in render order.
+std::vector<std::string> family_order(const std::string& text) {
+  std::vector<std::string> names;
+  const std::string tag = "# TYPE ";
+  for (std::size_t at = text.find(tag); at != std::string::npos;
+       at = text.find(tag, at + 1)) {
+    const std::size_t begin = at + tag.size();
+    names.push_back(text.substr(begin, text.find(' ', begin) - begin));
+  }
+  return names;
+}
+
+TEST(RouterMetrics, ExportStructureFollowsTheFleetSnapshot) {
+  const auto dnn = make_dnn(1024, 2, 55);
+  ShardRouter router({.shards = 2,
+                      .engine = {.workers = 1, .max_delay = 0us}});
+  const ModelId inter =
+      router.add_model(dnn, "i", {.priority = Priority::kInteractive});
+  const ModelId batch =
+      router.add_model(dnn, "b", {.priority = Priority::kBatch});
+  const ModelId back =
+      router.add_model(dnn, "g", {.priority = Priority::kBackground});
+  const ModelId gone =
+      router.add_model(dnn, "gone", {.priority = Priority::kBatch});
+  const std::vector<ModelId> ids = {inter, batch, back, gone};
+  Rng irng(56);
+  const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
+  for (int i = 0; i < 4; ++i) {
+    for (const ModelId m : ids) {
+      EXPECT_EQ(router.submit(InferenceRequest::borrowed(m, x, 1)).get().size(),
+                1024u);
+    }
+  }
+  router.remove_model(gone);
+  router.kill_shard(1);
+
+  // Park shard 0's only worker in a completion, then queue work behind
+  // it, so the queue-depth gauges have something to count.
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  (void)router.submit(InferenceRequest::borrowed(batch, x, 1),
+                      {.done = [&](std::span<const float>,
+                                   const RequestTiming&, std::exception_ptr) {
+                        parked.set_value();
+                        released.wait();
+                      }});
+  parked.get_future().wait();
+  std::vector<std::future<std::vector<float>>> queued;
+  for (const ModelId m : {inter, inter, back}) {
+    queued.push_back(
+        router.submit(InferenceRequest::borrowed(m, x, 1)).take_future());
+  }
+
+  MetricsRegistry reg;
+  router.export_metrics(reg);
+  const std::string text = reg.render_prometheus();
+  const std::vector<std::string> documented = {
+      "radix_serve_shard_health",       "radix_serve_requests_total",
+      "radix_serve_shed_total",         "radix_serve_expired_total",
+      "radix_serve_errors_total",       "radix_serve_rows_total",
+      "radix_serve_batches_total",      "radix_serve_edges_total",
+      "radix_serve_busy_seconds_total", "radix_serve_queue_depth",
+      "radix_serve_e2e_latency_seconds", "radix_serve_queue_wait_seconds",
+      "radix_serve_batch_rows",         "radix_serve_workers",
+      "radix_serve_worker_busy_fraction", "radix_serve_failovers_total"};
+  EXPECT_EQ(family_order(text), documented) << text;
+
+  // The live shard: every {class, shard} series, equal to the engine's
+  // own class view and to its pending requests over the live models.
+  const Engine& live = router.shard(0);
+  const std::vector<ModelId> live_ids = {inter, batch, back};
+  for (std::size_t c = 0; c < kNumPriorities; ++c) {
+    const auto p = static_cast<Priority>(c);
+    SCOPED_TRACE(to_string(p));
+    const MetricLabels labels{{"class", to_string(p)}, {"shard", "0"}};
+    const ServeStats want = live.class_stats(p);
+    const auto value = [&](const char* family) {
+      const double* v = reg.find(family, labels);
+      EXPECT_NE(v, nullptr) << family;
+      return v ? *v : -1.0;
+    };
+    EXPECT_EQ(value("radix_serve_requests_total"), want.requests);
+    EXPECT_EQ(value("radix_serve_shed_total"), want.shed);
+    EXPECT_EQ(value("radix_serve_expired_total"), want.expired);
+    EXPECT_EQ(value("radix_serve_errors_total"), want.errors);
+    EXPECT_EQ(value("radix_serve_rows_total"), want.rows);
+    EXPECT_EQ(value("radix_serve_batches_total"), want.batches);
+    EXPECT_EQ(value("radix_serve_edges_total"), want.edges);
+    EXPECT_EQ(value("radix_serve_busy_seconds_total"), want.busy_seconds);
+    EXPECT_EQ(value("radix_serve_e2e_latency_seconds"), want.e2e_hist.count());
+    EXPECT_EQ(value("radix_serve_queue_wait_seconds"),
+              want.queue_wait_hist.count());
+    EXPECT_EQ(value("radix_serve_batch_rows"), want.batch_rows_hist.count());
+    std::size_t depth = 0;
+    for (const ModelId m : live_ids) {
+      if (router.model_entry(m).qos.priority == p) depth += live.pending(m);
+    }
+    EXPECT_EQ(value("radix_serve_queue_depth"), depth);
+  }
+  EXPECT_EQ(*reg.find("radix_serve_queue_depth",
+                      {{"class", "interactive"}, {"shard", "0"}}),
+            2.0);
+  EXPECT_EQ(*reg.find("radix_serve_queue_depth",
+                      {{"class", "background"}, {"shard", "0"}}),
+            1.0);
+  EXPECT_GT(*reg.find("radix_serve_requests_total",
+                      {{"class", "batch"}, {"shard", "0"}}),
+            0.0);
+  ASSERT_NE(reg.find("radix_serve_workers", {{"shard", "0"}}), nullptr);
+  EXPECT_EQ(*reg.find("radix_serve_workers", {{"shard", "0"}}),
+            live.num_workers());
+  ASSERT_NE(reg.find("radix_serve_worker_busy_fraction", {{"shard", "0"}}),
+            nullptr);
+
+  // The down shard: its health gauge, and nothing else.
+  const double* down = reg.find("radix_serve_shard_health", {{"shard", "1"}});
+  ASSERT_NE(down, nullptr);
+  EXPECT_EQ(*down, 2.0);
+  std::size_t shard1_lines = 0;
+  for (std::size_t at = text.find("shard=\"1\""); at != std::string::npos;
+       at = text.find("shard=\"1\"", at + 1)) {
+    ++shard1_lines;
+  }
+  EXPECT_EQ(shard1_lines, 1u) << text;
+  ASSERT_NE(reg.find("radix_serve_failovers_total", {}), nullptr);
+
+  release.set_value();
+  for (auto& f : queued) EXPECT_EQ(f.get().size(), 1024u);
+  router.shutdown();
 }
 
 TEST(RouterMetrics, MergedFleetViewLabelsShardsAndTracksHealth) {

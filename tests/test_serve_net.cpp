@@ -34,6 +34,7 @@
 #include "serve/router.hpp"
 #include "store/artifact.hpp"
 #include "support/random.hpp"
+#include "support/thread.hpp"
 
 namespace radix::net {
 namespace {
@@ -441,6 +442,71 @@ TEST(ServeNet, ListModelsKeepsRemovedIds) {
   EXPECT_EQ(models[2].name, "gamma");
   EXPECT_FALSE(models[2].retired);
   EXPECT_EQ(models[2].input_width, 1024u);
+}
+
+TEST(ServeNet, WireSubmitIsAckedWhileADrainAndALookupAreInFlight) {
+  // Two submit workers: a wire drain holds one until its shard's backlog
+  // clears.  A wire find_model must not hold the other one behind the
+  // drain, or every other client's submit waits for the drain too.
+  const auto dnn = make_dnn(1024, 2, 90);
+  FakeClock clock;
+  serve::ShardRouter router({.shards = 2,
+                             .engine = {.workers = 1,
+                                        .max_batch_rows = 8,
+                                        .max_delay = 200us,
+                                        .clock = &clock}});
+  const auto id = router.add_model(dnn, "m");
+  Rng irng(91);
+  const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
+
+  // Park a claim on shard 0 (shard 1 out of rotation while it lands):
+  // its worker waits out the coalescing window on the frozen clock, so
+  // draining shard 0 blocks until the clock advances.
+  router.drain_shard(1);
+  auto parked =
+      router.submit(serve::InferenceRequest::borrowed(id, x, 1)).take_future();
+  router.restart_shard(1);
+  while (clock.parked() < 1) std::this_thread::yield();
+
+  ServerOptions options;
+  options.submit_workers = 2;
+  options.hooks = make_admin_hooks(router);
+  Server server(router, options);
+  RemoteBackend admin(server.port());
+  RemoteBackend lookup(server.port());
+  RemoteBackend client(server.port());
+
+  std::thread drainer([&] { (void)admin.shard_ctl(ShardVerb::kDrain, 0); });
+  while (router.shard_health(0) != serve::ShardHealth::kDraining) {
+    std::this_thread::yield();
+  }
+  std::thread finder([&] { EXPECT_EQ(lookup.find_model("m"), id); });
+  std::this_thread::sleep_for(20ms);  // let the lookup reach a worker
+
+  std::promise<serve::SubmitResult> acked;
+  auto ack = acked.get_future();
+  std::thread submitter([&] {
+    acked.set_value(
+        client.submit(serve::InferenceRequest::borrowed(id, x, 1),
+                      {.admission = serve::Admission::kFailFast}));
+  });
+  const bool in_time = ack.wait_for(1s) == std::future_status::ready;
+  EXPECT_TRUE(in_time) << "a fail-fast submit waited on the wire drain";
+
+  // Release the drain; the acked request then needs one more advance to
+  // pass its own coalescing window on shard 1.
+  clock.advance(1ms);
+  drainer.join();
+  finder.join();
+  submitter.join();
+  auto result = ack.get();
+  ASSERT_TRUE(result.admitted());
+  auto served = result.take_future();
+  clock.advance(1ms);
+  EXPECT_EQ(served.get(), direct_forward(*dnn, x, 1));
+  EXPECT_EQ(parked.get(), direct_forward(*dnn, x, 1));
+  server.stop();
+  router.shutdown();
 }
 
 TEST(ServeNet, ClientDisconnectOrphansLateResponses) {

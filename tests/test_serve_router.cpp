@@ -21,6 +21,7 @@
 
 #include "radixnet/graph_challenge.hpp"
 #include "serve/client.hpp"
+#include "serve/metrics.hpp"
 #include "support/random.hpp"
 #include "support/thread.hpp"
 
@@ -543,6 +544,175 @@ TEST(ShardRouter, ModelAddedWhileShardDownIsServedAndRestartRejoins) {
   EXPECT_EQ(router.shard(1).stats(b).requests, 6u);
   EXPECT_EQ(router.stats(b).requests, 11u);
   EXPECT_EQ(router.stats(b).errors, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Every read is one snapshot load: no read waits on an admin call.
+
+// Starts `read` on its own thread and reports whether it returned
+// within 1 s.  The thread's future is kept in `helpers`, and clearing
+// that joins it -- so a read stuck behind an admin call holds the test
+// only until the test releases that call.
+using Helpers = std::vector<std::future<void>>;
+template <typename Fn>
+bool returns_within_1s(Helpers& helpers, Fn read) {
+  helpers.push_back(std::async(std::launch::async, std::move(read)));
+  return helpers.back().wait_for(1s) == std::future_status::ready;
+}
+
+TEST(ShardRouter, ReadsNeverWaitOnADrain) {
+  const auto dnn = make_dnn(1024, 2, 130);
+  FakeClock clock;
+  ShardRouter router({.shards = 2,
+                      .engine = {.workers = 1,
+                                 .max_batch_rows = 8,
+                                 .max_delay = 200us,
+                                 .clock = &clock}});
+  const auto id = router.add_model(dnn, "m");
+  Rng irng(131);
+  const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
+
+  // Park a claim on shard 0: with shard 1 out of rotation the request
+  // lands there, and its worker claims it and waits out the coalescing
+  // window on the frozen clock.
+  router.drain_shard(1);
+  auto parked =
+      router.submit(InferenceRequest::borrowed(id, x, 1)).take_future();
+  router.restart_shard(1);
+  while (clock.parked() < 1) std::this_thread::yield();
+
+  // The drain holds the admin lock until the parked claim completes,
+  // which only a clock advance allows.
+  std::promise<void> drain_returned;
+  auto drained = drain_returned.get_future();
+  std::thread drainer([&] {
+    router.drain_shard(0);
+    drain_returned.set_value();
+  });
+  while (router.shard_health(0) != ShardHealth::kDraining) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(drained.wait_for(20ms), std::future_status::timeout)
+      << "the drain must still be waiting on the parked claim";
+
+  Helpers helpers;
+  EXPECT_TRUE(returns_within_1s(
+      helpers, [&] { EXPECT_EQ(router.find_model("m"), id); }))
+      << "find_model";
+  EXPECT_TRUE(returns_within_1s(
+      helpers, [&] { EXPECT_EQ(router.models().size(), 1u); }))
+      << "models";
+  EXPECT_TRUE(returns_within_1s(
+      helpers, [&] { EXPECT_EQ(router.model_entry(id).name, "m"); }))
+      << "model_entry";
+  EXPECT_TRUE(returns_within_1s(
+      helpers, [&] { EXPECT_EQ(router.num_models(), 1u); }))
+      << "num_models";
+  EXPECT_TRUE(returns_within_1s(
+      helpers, [&] { (void)router.class_stats(Priority::kBatch); }))
+      << "class_stats";
+  EXPECT_TRUE(returns_within_1s(helpers, [&] { (void)router.stats(id); }))
+      << "stats";
+  EXPECT_TRUE(returns_within_1s(helpers, [&] { (void)router.pending(id); }))
+      << "pending";
+  EXPECT_TRUE(returns_within_1s(helpers, [&] {
+    MetricsRegistry reg;
+    router.export_metrics(reg);
+  })) << "export_metrics";
+
+  // Release: the parked claim's window passes, the drain completes.
+  clock.advance(1ms);
+  drainer.join();
+  helpers.clear();
+  EXPECT_EQ(parked.get(), direct_forward(*dnn, x, 1));
+  EXPECT_EQ(router.stats(id).requests, 1u);
+  router.restart_shard(0);
+  router.shutdown();
+}
+
+TEST(ShardRouter, ReadsDuringAKillSeeTheDyingShardsHistory) {
+  const auto dnn = make_dnn(1024, 2, 132);
+  // One shard: an orphan has no untried shard, so its AbortedError
+  // completion runs inside kill_shard, on the killing thread.
+  ShardRouter router({.shards = 1,
+                      .engine = {.workers = 1, .max_delay = 0us}});
+  const auto a = router.add_model(dnn, "a");
+  const auto b = router.add_model(dnn, "b");
+  Rng irng(133);
+  const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(router.submit(InferenceRequest::borrowed(b, x, 1)).get(),
+              direct_forward(*dnn, x, 1));
+  }
+
+  // Park the only worker inside a completion of model a.
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  (void)router.submit(InferenceRequest::borrowed(a, x, 1),
+                      {.done = [&](std::span<const float>,
+                                   const RequestTiming&, std::exception_ptr) {
+                        parked.set_value();
+                        released.wait();
+                      }});
+  parked.get_future().wait();
+
+  // Three requests of b queue behind it.  Each callback reads stats(b)
+  // directly, and class_stats on a helper with a bound.
+  constexpr int kQueued = 3;
+  struct Seen {
+    bool aborted = false;
+    std::uint64_t stats_requests = 0;
+    bool class_returned = false;
+    std::uint64_t class_requests = 0;
+  };
+  std::vector<Seen> seen(kQueued);
+  std::atomic<int> delivered{0};
+  Helpers helpers;
+  for (int k = 0; k < kQueued; ++k) {
+    (void)router.submit(
+        InferenceRequest::borrowed(b, x, 1),
+        {.done = [&, k](std::span<const float>, const RequestTiming&,
+                        std::exception_ptr err) {
+          Seen& s = seen[static_cast<std::size_t>(k)];
+          try {
+            if (err) std::rethrow_exception(err);
+          } catch (const AbortedError&) {
+            s.aborted = true;
+          } catch (...) {
+          }
+          s.stats_requests = router.stats(b).requests;
+          s.class_returned = returns_within_1s(helpers, [&router, &s] {
+            s.class_requests = router.class_stats(Priority::kBatch).requests;
+          });
+          ++delivered;
+        }});
+  }
+  EXPECT_EQ(router.pending(b), static_cast<std::size_t>(kQueued));
+
+  // kill_shard joins the parked worker, so it runs on a side thread;
+  // the worker is released once every orphan has been delivered.
+  std::size_t orphaned = 0;
+  std::thread killer([&] { orphaned = router.kill_shard(0); });
+  while (delivered.load() < kQueued) std::this_thread::yield();
+  release.set_value();
+  killer.join();
+  helpers.clear();
+
+  EXPECT_EQ(orphaned, static_cast<std::size_t>(kQueued));
+  for (int k = 0; k < kQueued; ++k) {
+    SCOPED_TRACE(k);
+    const Seen& s = seen[static_cast<std::size_t>(k)];
+    EXPECT_TRUE(s.aborted);
+    EXPECT_GE(s.stats_requests, 5u)
+        << "a read inside the kill lost the dying shard's history";
+    EXPECT_TRUE(s.class_returned) << "class_stats waited on the kill";
+    if (s.class_returned) {
+      EXPECT_GE(s.class_requests, 5u);
+    }
+  }
+  EXPECT_EQ(router.stats(b).requests, 8u);
+  EXPECT_EQ(router.stats(b).errors, static_cast<std::uint64_t>(kQueued));
 }
 
 // ---------------------------------------------------------------------------

@@ -170,13 +170,12 @@ TEST(ServeStress, MixedPriorityQosUnderContention) {
   opts.max_delay = std::chrono::microseconds(200);
   opts.queue_capacity = 128;
   opts.starvation_bound = 4;  // tight bound: background must interleave
-  opts.class_policy[static_cast<std::size_t>(
-      serve::Priority::kInteractive)] = {
-      .max_delay = std::chrono::microseconds(50), .max_batch_rows = 8};
   serve::Engine engine(opts);
   const auto chat = engine.add_model(
       dnn_i, "chat", {.priority = serve::Priority::kInteractive,
-                      .weight = 4});
+                      .weight = 4,
+                      .max_delay = std::chrono::microseconds(50),
+                      .max_batch_rows = 8});
   const auto bulk = engine.add_model(
       dnn_b, "bulk", {.priority = serve::Priority::kBackground});
 
