@@ -185,10 +185,12 @@ constexpr double kDiurnalPeakFactor = 1.6;  // peak/mean; trough = 0.4x mean
 
 // Drive one open-loop window of two-class traffic at `load` x the
 // saturating rate per worker (`workers` scales the fleet's capacity)
-// against `backend`, then drain to completion.  The interactive class
+// against `target` (an Engine or a ShardRouter: anything with the
+// submit entry point), then drain to completion.  The interactive class
 // is pinned at 25% of one worker's capacity -- the sweep variable is
 // the background class crossing the rest of the fleet's capacity.
-void run_window(serve::Backend& backend, serve::ModelId interactive,
+template <typename Target>
+void run_window(Target& target, serve::ModelId interactive,
                 serve::ModelId background, double load, double workers,
                 WindowTotals& totals, BgShape shape = BgShape::kConstant) {
   const auto& x = cached_input();
@@ -199,12 +201,12 @@ void run_window(serve::Backend& backend, serve::ModelId interactive,
   Ledger ia_led, bg_led;
   const auto submit_class = [&](serve::ModelId id, Ledger& led,
                                 std::chrono::microseconds deadline) {
-    return [&backend, &led, id, &x, deadline](std::uint64_t, double) {
+    return [&target, &led, id, &x, deadline](std::uint64_t, double) {
       serve::SubmitOptions so;
       so.deadline = deadline;
       so.done = led.done(std::chrono::steady_clock::now());
       led.offered.fetch_add(1);
-      (void)backend.submit(
+      (void)target.submit(
           serve::InferenceRequest::borrowed(id, x, kRows), std::move(so));
     };
   };
@@ -261,9 +263,8 @@ void run_window(serve::Backend& backend, serve::ModelId interactive,
   totals.seconds_offered += std::chrono::duration<double>(kWindow).count();
 }
 
-void report(benchmark::State& state, const serve::Backend&,
-            const WindowTotals& totals, const serve::ServeStats& ia,
-            const serve::ServeStats& bg) {
+void report(benchmark::State& state, const WindowTotals& totals,
+            const serve::ServeStats& ia, const serve::ServeStats& bg) {
   const double ia_off = static_cast<double>(totals.interactive_offered);
   const double bg_off = static_cast<double>(totals.bg_offered);
   state.counters["offered_rps"] = benchmark::Counter(
@@ -334,10 +335,9 @@ void SetupEngine(const benchmark::State&) {
   opts.tracer = g_tracer.get();
   g_engine = std::make_unique<serve::Engine>(opts);
   g_interactive = g_engine->add_model(
-      make_dnn(), "interactive",
-      {.priority = serve::Priority::kInteractive, .weight = 4});
+      make_dnn(), {.priority = serve::Priority::kInteractive, .weight = 4});
   g_background = g_engine->add_model(
-      make_dnn(), "background", {.priority = serve::Priority::kBackground});
+      make_dnn(), {.priority = serve::Priority::kBackground});
   (void)cached_input();
   (void)saturating_rps();
 }
@@ -356,8 +356,7 @@ void BM_ServeOverload(benchmark::State& state) {
   for (auto _ : state) {
     run_window(*g_engine, g_interactive, g_background, load, 1.0, totals);
   }
-  report(state, *g_engine, totals,
-         g_engine->class_stats(serve::Priority::kInteractive),
+  report(state, totals, g_engine->class_stats(serve::Priority::kInteractive),
          g_engine->class_stats(serve::Priority::kBackground));
   report_shed_timelines(state, *g_tracer);
 }
@@ -383,8 +382,7 @@ void BM_ServeOverloadBurst(benchmark::State& state) {
     run_window(*g_engine, g_interactive, g_background, load, 1.0, totals,
                BgShape::kBurst);
   }
-  report(state, *g_engine, totals,
-         g_engine->class_stats(serve::Priority::kInteractive),
+  report(state, totals, g_engine->class_stats(serve::Priority::kInteractive),
          g_engine->class_stats(serve::Priority::kBackground));
   report_shed_timelines(state, *g_tracer);
   state.counters["burst_factor"] = benchmark::Counter(kBurstFactor);
@@ -410,8 +408,7 @@ void BM_ServeOverloadDiurnal(benchmark::State& state) {
     run_window(*g_engine, g_interactive, g_background, load, 1.0, totals,
                BgShape::kDiurnal);
   }
-  report(state, *g_engine, totals,
-         g_engine->class_stats(serve::Priority::kInteractive),
+  report(state, totals, g_engine->class_stats(serve::Priority::kInteractive),
          g_engine->class_stats(serve::Priority::kBackground));
   report_shed_timelines(state, *g_tracer);
   state.counters["diurnal_peak_factor"] =
@@ -453,7 +450,8 @@ struct BoundedLedger : Ledger {
 };
 
 // run_window with bounded-wait admission and rejection accounting.
-void run_window_bounded(serve::Backend& backend, serve::ModelId interactive,
+template <typename Target>
+void run_window_bounded(Target& target, serve::ModelId interactive,
                         serve::ModelId background, double load,
                         WindowTotals& totals, std::uint64_t& ia_rejected,
                         std::uint64_t& bg_rejected) {
@@ -466,14 +464,14 @@ void run_window_bounded(serve::Backend& backend, serve::ModelId interactive,
   const auto submit_class = [&](serve::ModelId id, BoundedLedger& led,
                                 std::chrono::microseconds wait,
                                 std::chrono::microseconds deadline) {
-    return [&backend, &led, id, &x, wait, deadline](std::uint64_t, double) {
+    return [&target, &led, id, &x, wait, deadline](std::uint64_t, double) {
       serve::SubmitOptions so;
       so.admission = serve::Admission::kBoundedWait;
       so.timeout = wait;
       so.deadline = deadline;
       so.done = led.done(std::chrono::steady_clock::now());
       led.offered.fetch_add(1);
-      if (!backend
+      if (!target
                .submit(serve::InferenceRequest::borrowed(id, x, kRows),
                        std::move(so))
                .admitted()) {
@@ -536,10 +534,9 @@ void SetupEngineBounded(const benchmark::State&) {
   opts.fault = g_floor.get();
   g_engine = std::make_unique<serve::Engine>(opts);
   g_interactive = g_engine->add_model(
-      make_dnn(), "interactive",
-      {.priority = serve::Priority::kInteractive, .weight = 4});
+      make_dnn(), {.priority = serve::Priority::kInteractive, .weight = 4});
   g_background = g_engine->add_model(
-      make_dnn(), "background", {.priority = serve::Priority::kBackground});
+      make_dnn(), {.priority = serve::Priority::kBackground});
   (void)cached_input();
   (void)saturating_rps();
 }
@@ -558,8 +555,7 @@ void BM_ServeOverloadBoundedWait(benchmark::State& state) {
     run_window_bounded(*g_engine, g_interactive, g_background, load, totals,
                        ia_rejected, bg_rejected);
   }
-  report(state, *g_engine, totals,
-         g_engine->class_stats(serve::Priority::kInteractive),
+  report(state, totals, g_engine->class_stats(serve::Priority::kInteractive),
          g_engine->class_stats(serve::Priority::kBackground));
   const double ia_off = static_cast<double>(totals.interactive_offered);
   const double bg_off = static_cast<double>(totals.bg_offered);
@@ -634,8 +630,7 @@ void BM_ServeOverloadFaulty(benchmark::State& state) {
     run_window(*g_router, g_router_interactive, g_router_background, load,
                2.0, totals);
   }
-  report(state, *g_router, totals,
-         g_router->class_stats(serve::Priority::kInteractive),
+  report(state, totals, g_router->class_stats(serve::Priority::kInteractive),
          g_router->class_stats(serve::Priority::kBackground));
   state.counters["injected_delays"] = benchmark::Counter(
       static_cast<double>(g_grey->delayed_batches()));
@@ -699,7 +694,7 @@ void BM_ServeOverloadGrey(benchmark::State& state) {
   }
   const auto ia = g_router->class_stats(serve::Priority::kInteractive);
   const auto bg = g_router->class_stats(serve::Priority::kBackground);
-  report(state, *g_router, totals, ia, bg);
+  report(state, totals, ia, bg);
 
   // Cross-check the merged ledgers against the per-shard sum: the
   // exactness contract, surfaced where a baseline diff would catch a

@@ -48,7 +48,7 @@
 //       compute) -- that is the expected shape, not a router defect;
 //       on an M-core host expect growth up to about min(shards, M-ish).
 //
-// All submissions go through the single Backend::submit entry point
+// All submissions go through the one submit entry point
 // (serve/request.hpp).  items_per_second is the challenge metric
 // (edges/s = rows x total nnz per wall second);
 // scripts/check_perf_smoke.py sanity-checks this bench's output shape
@@ -109,14 +109,20 @@ const std::vector<float>& cached_input(index_t rows) {
 std::unique_ptr<serve::Engine> g_engine;
 serve::ModelId g_model = 0;
 
-void SetupEngine(const benchmark::State& state) {
+// Args: {rows_per_request, max_delay_us}.  Shared by the in-process
+// closed loop and its remote twin, so the two differ only by the wire.
+serve::EngineOptions closed_loop_options(const benchmark::State& state) {
   serve::EngineOptions opts;
   opts.workers = 1;  // measure batching efficiency, not core count
   opts.max_batch_rows = kMaxBatchRows;
   opts.max_delay = std::chrono::microseconds(state.range(1));
   opts.queue_capacity = 4096;
-  g_engine = std::make_unique<serve::Engine>(opts);
-  g_model = g_engine->add_model(make_dnn(), "bench");
+  return opts;
+}
+
+void SetupEngine(const benchmark::State& state) {
+  g_engine = std::make_unique<serve::Engine>(closed_loop_options(state));
+  g_model = g_engine->add_model(make_dnn());
   (void)cached_input(static_cast<index_t>(state.range(0)));
 }
 
@@ -132,15 +138,11 @@ void TeardownEngine(const benchmark::State&) {
 std::unique_ptr<serve::Tracer> g_tracer;
 
 void SetupTracedEngine(const benchmark::State& state) {
-  serve::EngineOptions opts;
-  opts.workers = 1;
-  opts.max_batch_rows = kMaxBatchRows;
-  opts.max_delay = std::chrono::microseconds(state.range(1));
-  opts.queue_capacity = 4096;
+  serve::EngineOptions opts = closed_loop_options(state);
   g_tracer = std::make_unique<serve::Tracer>();
   opts.tracer = g_tracer.get();
   g_engine = std::make_unique<serve::Engine>(opts);
-  g_model = g_engine->add_model(make_dnn(), "bench");
+  g_model = g_engine->add_model(make_dnn());
   (void)cached_input(static_cast<index_t>(state.range(0)));
 }
 
@@ -259,13 +261,12 @@ void SetupQosEngine(const benchmark::State&) {
   opts.queue_capacity = 4096;
   g_qos_engine = std::make_unique<serve::Engine>(opts);
   g_qos_inter = g_qos_engine->add_model(
-      make_dnn(), "interactive",
-      {.priority = serve::Priority::kInteractive,
-       .weight = 4,
-       .max_delay = std::chrono::microseconds(50),
-       .max_batch_rows = kQosBudget});
+      make_dnn(), {.priority = serve::Priority::kInteractive,
+                   .weight = 4,
+                   .max_delay = std::chrono::microseconds(50),
+                   .max_batch_rows = kQosBudget});
   g_qos_batch = g_qos_engine->add_model(
-      make_dnn(), "batch", {.priority = serve::Priority::kBatch});
+      make_dnn(), {.priority = serve::Priority::kBatch});
   (void)cached_input(kQosRows);
 }
 
@@ -463,30 +464,34 @@ BENCHMARK(BM_ServeSharded)
 
 // --- Networked front-end sweep (PR 9) ------------------------------------
 
-// BM_ServeClosedLoop's twin THROUGH the socket: the same engine behind
-// an in-process net::Server, driven by closed-loop clients sharing one
-// net::RemoteBackend over loopback.  The ratio
+// BM_ServeClosedLoop's twin THROUGH the socket: a one-shard router built
+// from the same EngineOptions -- what radix-served runs with --shards 1
+// -- behind an in-process net::Server, driven by closed-loop clients
+// sharing one net::RemoteBackend over loopback.  The ratio
 // BM_ServeRemoteClosedLoop / BM_ServeClosedLoop at matching thread
 // counts is the wire tax -- framing, one syscall round-trip each way,
-// and the single-connection demux -- which scripts/check_perf_smoke.py
-// gates at >= 0.5x for 32 clients.
+// the single-connection demux, and the router's one-shard pick -- which
+// scripts/check_perf_smoke.py gates at >= 0.5x for 32 clients.
 std::unique_ptr<net::Server> g_net_server;
 std::unique_ptr<net::RemoteBackend> g_remote;
 
-void SetupRemoteEngine(const benchmark::State& state) {
-  SetupEngine(state);
+void SetupRemoteRouter(const benchmark::State& state) {
+  g_router = std::make_unique<serve::ShardRouter>(serve::ShardRouterOptions{
+      .shards = 1, .engine = closed_loop_options(state)});
+  g_router_model = g_router->add_model(make_dnn(), "bench");
+  (void)cached_input(static_cast<index_t>(state.range(0)));
   net::ServerOptions opts;
   opts.submit_workers = 2;
-  g_net_server = std::make_unique<net::Server>(*g_engine, opts);
+  g_net_server = std::make_unique<net::Server>(*g_router, opts);
   g_remote = std::make_unique<net::RemoteBackend>(g_net_server->port());
 }
 
-void TeardownRemoteEngine(const benchmark::State& state) {
+void TeardownRemoteRouter(const benchmark::State& state) {
   g_remote->shutdown();
   g_remote.reset();
   g_net_server->stop();
   g_net_server.reset();
-  TeardownEngine(state);
+  TeardownRouter(state);
 }
 
 // Args: {rows_per_request, max_delay_us}; ->Threads(N) closed-loop
@@ -495,11 +500,13 @@ void TeardownRemoteEngine(const benchmark::State& state) {
 void BM_ServeRemoteClosedLoop(benchmark::State& state) {
   const index_t rows = static_cast<index_t>(state.range(0));
   const auto& x = cached_input(rows);
-  const std::uint64_t nnz = g_engine->model(g_model).total_nnz();
+  const std::uint64_t nnz =
+      g_router->model_entry(g_router_model).dnn->total_nnz();
 
   for (auto _ : state) {
     auto fut = g_remote
-                   ->submit(serve::InferenceRequest::borrowed(g_model, x, rows))
+                   ->submit(serve::InferenceRequest::borrowed(g_router_model,
+                                                              x, rows))
                    .take_future();
     benchmark::DoNotOptimize(fut.get().data());
   }
@@ -509,7 +516,7 @@ void BM_ServeRemoteClosedLoop(benchmark::State& state) {
   if (state.thread_index() == 0) {
     // Stats fetched OVER THE WIRE: the bench doubles as a smoke test of
     // the remote stats path under concurrent submit traffic.
-    const auto s = g_remote->stats(g_model);
+    const auto s = g_remote->stats(g_router_model);
     state.counters["mean_batch_rows"] =
         benchmark::Counter(s.mean_batch_rows);
     state.counters["queue_p95_us"] =
@@ -520,8 +527,8 @@ void BM_ServeRemoteClosedLoop(benchmark::State& state) {
 
 BENCHMARK(BM_ServeRemoteClosedLoop)
     ->Args({1, 200})
-    ->Setup(SetupRemoteEngine)
-    ->Teardown(TeardownRemoteEngine)
+    ->Setup(SetupRemoteRouter)
+    ->Teardown(TeardownRemoteRouter)
     ->Threads(1)
     ->Threads(4)
     ->Threads(16)

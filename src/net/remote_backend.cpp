@@ -381,7 +381,7 @@ std::vector<WireModelInfo> RemoteBackend::list_models() const {
   const Frame resp =
       rpc(MsgType::kListModelsReq, {}, MsgType::kListModelsResp);
   WireReader r(resp.body);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(kModelInfoMinBytes);
   std::vector<WireModelInfo> models;
   models.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -445,7 +445,7 @@ std::vector<serve::ShardHealth> RemoteBackend::shard_ctl(
   w.u64(index);
   const Frame resp = rpc(MsgType::kShardCtlReq, body, MsgType::kShardCtlResp);
   WireReader r(resp.body);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(1);  // one u8 per shard
   std::vector<serve::ShardHealth> health;
   health.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

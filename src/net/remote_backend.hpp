@@ -2,7 +2,7 @@
 //
 // Everything that serves against a Backend -- the closed-loop benches,
 // the conformance suite, examples/serve_graph_challenge -- runs
-// unmodified against a radix-served process by swapping Engine /
+// unmodified against a radix-served process by swapping the
 // ShardRouter for a RemoteBackend pointed at its port.
 //
 // One TCP connection carries every concurrent caller: submits and

@@ -36,8 +36,8 @@
 // verbs beyond them (registry listing, per-class stats, shard
 // lifecycle, metrics text, model save/load) are injected as AdminHooks,
 // and only the router has a hook set: make_admin_hooks(ShardRouter&).
-// A server fronting a bare Engine -- tests and benches do that --
-// answers those verbs with "unsupported".
+// A server built without hooks -- some tests do that -- answers those
+// verbs with "unsupported".
 #pragma once
 
 #include <atomic>

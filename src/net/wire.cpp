@@ -84,11 +84,19 @@ std::string WireReader::str() {
 }
 
 std::vector<float> WireReader::floats() {
-  const std::uint32_t n = u32();
+  const std::uint32_t n = count(sizeof(float));
   std::vector<float> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) out.push_back(f32());
   return out;
+}
+
+std::uint32_t WireReader::count(std::size_t min_item_bytes) {
+  const std::uint32_t n = u32();
+  if (n > remaining() / min_item_bytes) {
+    throw IoError("wire: item count exceeds the frame body");
+  }
+  return n;
 }
 
 void WireReader::expect_end() const {

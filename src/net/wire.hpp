@@ -156,6 +156,10 @@ class WireReader {
   double f64();
   std::string str();
   std::vector<float> floats();
+  /// A u32 item count whose items, at `min_item_bytes` each (their
+  /// shortest encoding, >= 1), fit in the bytes left in the body;
+  /// anything larger throws IoError before the caller reserves for it.
+  std::uint32_t count(std::size_t min_item_bytes);
 
   std::size_t remaining() const noexcept { return in_.size() - pos_; }
   /// Throws IoError unless the whole body was consumed (a longer-than-
@@ -204,6 +208,10 @@ struct WireModelInfo {
   std::uint32_t version = 1;
   std::uint64_t pending = 0;
 };
+
+/// Bytes of the shortest encoded WireModelInfo: id, name length (empty
+/// name), both widths, priority, retired flag, version, pending.
+inline constexpr std::size_t kModelInfoMinBytes = 8 + 4 + 4 + 4 + 1 + 1 + 4 + 8;
 
 void encode_model_info(WireWriter& w, const WireModelInfo& m);
 WireModelInfo decode_model_info(WireReader& r);

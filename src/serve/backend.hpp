@@ -2,12 +2,13 @@
 // InferenceRequests.
 //
 // A Backend is where requests go after the front-end types
-// (serve/request.hpp) have said what to run and how.  The in-process
-// Engine (serve/engine.hpp) is the base implementation; ShardRouter
-// (serve/router.hpp) fans one model out across several engines behind
-// the same interface; a network front-end would be another Backend with
-// a socket on top.  Client (serve/client.hpp) binds a (backend, model)
-// pair for call-site convenience.
+// (serve/request.hpp) have said what to run and how.  Two classes
+// implement it: ShardRouter (serve/router.hpp), the in-process backend,
+// which drives N Engine shards (serve/engine.hpp) and holds the one
+// registry that names and versions models; and net::RemoteBackend
+// (net/remote_backend.hpp), which speaks the same interface over a
+// socket to a server fronting a router.  Client (serve/client.hpp)
+// binds a (backend, model) pair for call-site convenience.
 //
 // The contract every implementation honors:
 //
@@ -23,9 +24,7 @@
 
 #include <cstddef>
 #include <optional>
-#include <string>
 #include <string_view>
-#include <utility>
 
 #include "serve/request.hpp"
 #include "serve/stats.hpp"
@@ -58,29 +57,5 @@ class Backend {
 
   virtual bool accepting() const = 0;
 };
-
-namespace detail {
-
-/// The shared naming rule of Backend model registries (Engine,
-/// ShardRouter): an explicit name must be unused (duplicates would make
-/// stats(find_model(name)) ambiguous -- rejected); an empty name
-/// generates "model-<k>", skipping past explicitly taken names so
-/// anonymous registration never fails.  `taken(name)` answers whether a
-/// name is already registered; the caller holds its registry lock.
-template <typename NameTaken>
-std::string resolve_model_name(std::string name, std::size_t next_id,
-                               NameTaken&& taken, const char* who) {
-  if (name.empty()) {
-    std::size_t k = next_id;
-    do {
-      name = "model-" + std::to_string(k++);
-    } while (taken(name));
-  } else {
-    RADIX_REQUIRE(!taken(name), std::string(who) + ": duplicate model name");
-  }
-  return name;
-}
-
-}  // namespace detail
 
 }  // namespace radix::serve

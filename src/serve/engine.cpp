@@ -80,7 +80,7 @@ void Engine::publish_locked(ModelId id, std::shared_ptr<const ModelState> st) {
 }
 
 ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
-                          std::string name, QosPolicy qos) {
+                          QosPolicy qos) {
   RADIX_REQUIRE(model != nullptr, "Engine: model must not be null");
   auto st = std::make_shared<ModelState>();
   st->dnn = std::move(model);
@@ -99,17 +99,6 @@ ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
   // path nests the two.
   std::scoped_lock lock(models_mutex_);
   const auto reg = models_.load();
-  st->name = detail::resolve_model_name(
-      std::move(name), reg->size(),
-      [&](const std::string& n) {
-        // Retired slots release their name for reuse: the model they
-        // named has left the registry.
-        for (const auto& existing : *reg) {
-          if (!existing->retired && existing->name == n) return true;
-        }
-        return false;
-      },
-      "Engine");
   // Batcher slot first: its validation (priority, weight, closed) can
   // throw, and throwing *after* the registry publish would leave the
   // two permanently desynced.  The reverse failure (publish throwing
@@ -137,8 +126,8 @@ void Engine::remove_model(ModelId id) {
   // lifecycle calls -- exactly the intent.
   batcher_.retire_model(id);
   batcher_.drain_model(id);
-  // Tombstone: weights released, name freed for reuse, stats retained
-  // so the id keeps answering stats() with its history.
+  // Tombstone: weights released, stats retained so the id keeps
+  // answering stats() with its history.
   auto st = std::make_shared<ModelState>(*old);
   st->dnn = nullptr;
   st->retired = true;
@@ -162,9 +151,8 @@ void Engine::swap_model(ModelId id,
   RADIX_REQUIRE_DIM(dnn->input_width() == old->input_width &&
                         dnn->output_width() == old->output_width,
                     "Engine::swap_model: version widths differ");
-  auto st = std::make_shared<ModelState>(*old);  // shares name + stats
+  auto st = std::make_shared<ModelState>(*old);  // shares the stats
   st->dnn = std::move(dnn);
-  st->version = old->version + 1;
   publish_locked(id, std::move(st));
   // Batches claimed from here on resolve the new snapshot; batches
   // already claimed finish on the version they resolved.  The old
@@ -178,7 +166,6 @@ ModelId Engine::add_tombstone() {
   std::scoped_lock lock(models_mutex_);
   const auto reg = models_.load();
   const ModelId id = reg->size();
-  st->name = "tombstone-" + std::to_string(id);
   const ModelId batcher_id = batcher_.add_model(QosPolicy{});
   RADIX_ASSERT(batcher_id == id,
                "Engine: model registry and batcher out of sync");
@@ -187,30 +174,9 @@ ModelId Engine::add_tombstone() {
   return id;
 }
 
-std::uint32_t Engine::model_version(ModelId id) const {
-  return state(id)->version;
-}
-
 bool Engine::model_retired(ModelId id) const { return state(id)->retired; }
 
 void Engine::quiesce() { batcher_.quiesce(); }
-
-std::size_t Engine::num_models() const {
-  const auto reg = models_.load();
-  std::size_t live = 0;
-  for (const auto& st : *reg) {
-    if (!st->retired) ++live;
-  }
-  return live;
-}
-
-std::optional<ModelId> Engine::find_model(std::string_view name) const {
-  const auto reg = models_.load();
-  for (ModelId id = 0; id < reg->size(); ++id) {
-    if (!(*reg)[id]->retired && (*reg)[id]->name == name) return id;
-  }
-  return std::nullopt;
-}
 
 unsigned Engine::num_workers() const noexcept { return worker_count_; }
 
@@ -224,10 +190,6 @@ const infer::SparseDnn& Engine::model(ModelId id) const {
   const auto st = state(id);
   RADIX_REQUIRE(st->dnn != nullptr, "Engine: model was removed");
   return *st->dnn;
-}
-
-const std::string& Engine::model_name(ModelId id) const {
-  return state(id)->name;
 }
 
 QosPolicy Engine::model_policy(ModelId id) const {

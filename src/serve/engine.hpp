@@ -10,13 +10,16 @@
 // demonstrate -- while latency-sensitive models stay fast under mixed
 // load via priority classes (serve/qos.hpp).
 //
-// Engine is the base Backend implementation (serve/backend.hpp): the
-// entire submit surface is the one entry point over the front-end types
-// of serve/request.hpp.
+// Engine is one shard of a ShardRouter (serve/router.hpp), which drives
+// it: the router is the Backend (serve/backend.hpp) callers see, and
+// its registry is the only place a model has a name or a version.  An
+// engine knows its models by dense id alone -- the router keeps every
+// shard's id space in lockstep -- and its submit surface is the one
+// entry point over the front-end types of serve/request.hpp.
 //
 //   Engine engine({.workers = 2, .max_batch_rows = 64,
 //                  .max_delay = std::chrono::microseconds(200)});
-//   auto chat = engine.add_model(chat_dnn, "chat",
+//   auto chat = engine.add_model(chat_dnn,
 //       {.priority = Priority::kInteractive, .weight = 4,
 //        .max_delay = std::chrono::microseconds(50)});
 //   auto fut = engine.submit(InferenceRequest::borrowed(chat, row, 1))
@@ -34,8 +37,7 @@
 //     queues (backpressure on submit), shared worker pool, QoS claim
 //     policy across models (strict priority between classes, weighted
 //     fairness within a class, starvation bound for background work --
-//     see serve/batcher.hpp).  Model names are unique per engine and
-//     resolvable through find_model().
+//     see serve/batcher.hpp).
 //   * Admission is SubmitOptions::admission: kBlock parks the caller on
 //     a full queue (backpressure), kFailFast rejects immediately and
 //     kBoundedWait gives up after `timeout` -- so a latency-sensitive
@@ -89,13 +91,9 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "infer/sparse_dnn.hpp"
-#include "serve/backend.hpp"
 #include "serve/batcher.hpp"
 #include "serve/fault.hpp"
 #include "serve/qos.hpp"
@@ -151,28 +149,27 @@ struct EngineOptions {
   std::uint16_t shard_index = 0;
 };
 
-class Engine final : public Backend {
+class Engine final {
  public:
   explicit Engine(EngineOptions options = {});
-  ~Engine() override;  // shutdown() if still running
+  ~Engine();  // shutdown() if still running
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Register a model; the returned id addresses submit()/stats().
-  /// `name` must be unique within this engine (empty generates
-  /// "model-<id>"); a duplicate throws.  `qos` sets its service class /
-  /// weight / knob overrides (unset fields inherit the engine
-  /// defaults).  Safe to call while traffic is served.
+  /// Register a model under the next dense id, which addresses
+  /// submit()/stats().  `qos` sets its service class / weight / knob
+  /// overrides (unset fields inherit the engine defaults).  Safe to
+  /// call while traffic is served.
   ModelId add_model(std::shared_ptr<const infer::SparseDnn> model,
-                    std::string name = "", QosPolicy qos = {});
+                    QosPolicy qos = {});
 
   /// Retire a model without dropping traffic: admission for `id` closes
   /// immediately (subsequent submits are rejected as a value, blocked
   /// submitters wake rejected), everything already admitted is served,
-  /// and on return the model's weights are released.  Its name becomes
-  /// reusable; the id itself is never reused and keeps answering
-  /// stats() with the model's history.  Safe while traffic is served.
+  /// and on return the model's weights are released.  The id is never
+  /// reused and keeps answering stats() with the model's history.  Safe
+  /// while traffic is served.
   void remove_model(ModelId id);
 
   /// Cut `id` over to a new version of the model without a gap in
@@ -186,10 +183,10 @@ class Engine final : public Backend {
   void swap_model(ModelId id, std::shared_ptr<const infer::SparseDnn> dnn);
 
   /// Burn one model id: appends a permanently retired slot (no model,
-  /// rejects submits) and returns its id.  Composite backends use this
-  /// to keep per-shard id spaces in lockstep when a multi-shard
-  /// registration fails partway and is rolled back (see
-  /// ShardRouter::add_model).
+  /// rejects submits) and returns its id.  The router uses this to keep
+  /// per-shard id spaces in lockstep: when a multi-shard registration
+  /// fails partway and is rolled back (see ShardRouter::add_model), and
+  /// when a rebuilt shard replays a retired id.
   ModelId add_tombstone();
 
   /// Crash-shaped stop for failover layers: close admission, fail every
@@ -201,9 +198,6 @@ class Engine final : public Backend {
   /// whichever runs first wins (a later call orphans nothing).
   std::size_t abort();
 
-  /// Version counter of a model: 1 after add_model, +1 per swap_model.
-  std::uint32_t model_version(ModelId id) const;
-
   /// True until remove_model(id) (add_tombstone slots are born retired).
   bool model_retired(ModelId id) const;
 
@@ -214,7 +208,6 @@ class Engine final : public Backend {
 
   unsigned num_workers() const noexcept;
   const infer::SparseDnn& model(ModelId id) const;
-  const std::string& model_name(ModelId id) const;
 
   /// The fully resolved QoS policy a model is served under: each
   /// QosPolicy field the model set, else the engine default.
@@ -228,31 +221,23 @@ class Engine final : public Backend {
   /// completion delivery), over num_workers() = the busy fraction.
   unsigned busy_workers() const noexcept;
 
-  const EngineOptions& options() const noexcept { return options_; }
-
-  // -- Backend interface --------------------------------------------------
-
   /// THE submit entry point (see serve/request.hpp for the request /
   /// options vocabulary and the admission semantics).
-  SubmitResult submit(InferenceRequest req, SubmitOptions opts = {}) override;
+  SubmitResult submit(InferenceRequest req, SubmitOptions opts = {});
 
   /// Current counters for one model (cheap, thread-safe).
-  ServeStats stats(ModelId id) const override;
+  ServeStats stats(ModelId id) const;
 
   /// Requests queued (not yet claimed) for one model.  Takes only the
   /// batcher monitor -- no registry snapshot -- because ShardRouter's
   /// two-choice pick calls it twice per routed request.
-  std::size_t pending(ModelId id) const override;
-
-  std::size_t num_models() const override;
-
-  std::optional<ModelId> find_model(std::string_view name) const override;
+  std::size_t pending(ModelId id) const;
 
   /// Stop accepting requests, serve everything already queued, join the
   /// workers.  Idempotent; called by the destructor.
-  void shutdown() override;
+  void shutdown();
 
-  bool accepting() const override;
+  bool accepting() const;
 
  private:
   // One model VERSION.  Instances are immutable once published (the
@@ -260,11 +245,9 @@ class Engine final : public Backend {
   // versions of the same id), so snapshot readers never need a lock.
   struct ModelState {
     std::shared_ptr<const infer::SparseDnn> dnn;  // null once retired
-    std::string name;
     index_t input_width = 0;
     index_t output_width = 0;
     std::shared_ptr<StatsCollector> stats;  // survives swap/remove
-    std::uint32_t version = 1;
     bool retired = false;
     /// Service class, duplicated from the batcher policy so trace
     /// stamping and class_stats read it off the registry snapshot

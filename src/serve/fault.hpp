@@ -33,6 +33,7 @@
 #include <mutex>
 
 #include "support/error.hpp"
+#include "support/random.hpp"
 #include "support/thread.hpp"
 
 namespace radix::serve {
@@ -127,12 +128,9 @@ class FaultInjector {
     return cancelled_.load(std::memory_order_acquire);
   }
 
-  // splitmix64 finalizer -> uniform double in [0, 1).
+  // SplitMix64 finalizer -> uniform double in [0, 1).
   static double u01(std::uint64_t z) noexcept {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    return static_cast<double>(z >> 11) * 0x1.0p-53;
+    return static_cast<double>(mix64(z) >> 11) * 0x1.0p-53;
   }
 
   FaultInjectorOptions options_;

@@ -8,6 +8,7 @@
 
 #include "serve/metrics.hpp"
 #include "support/error.hpp"
+#include "support/random.hpp"
 
 namespace radix::serve {
 
@@ -15,19 +16,13 @@ namespace {
 
 constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
-// splitmix64 finalizer: one multiply-shift mix per draw, statistically
-// ample for shard picks and cheap enough to sit on the submit path.
-inline std::uint64_t mix64(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-// Draw i of a (thread, seed) stream: mixing the router seed into every
-// draw (rather than into thread-local seeded-once state) keeps two
-// routers with different seeds on different sequences even when one
-// thread submits through both, and concurrent submitters never contend
-// on shared RNG state.
+// Draw i of a (thread, seed) stream, through the SplitMix64 finalizer:
+// one multiply-shift mix per draw, statistically ample for shard picks
+// and cheap enough to sit on the submit path.  Mixing the router seed
+// into every draw (rather than into thread-local seeded-once state)
+// keeps two routers with different seeds on different sequences even
+// when one thread submits through both, and concurrent submitters never
+// contend on shared RNG state.
 std::uint64_t thread_random(std::uint64_t seed) noexcept {
   static std::atomic<std::uint64_t> stream{0};
   thread_local const std::uint64_t thread_salt =
@@ -36,6 +31,30 @@ std::uint64_t thread_random(std::uint64_t seed) noexcept {
   thread_local std::uint64_t counter = 0;
   counter += 0x9e3779b97f4a7c15ull;
   return mix64(seed ^ thread_salt ^ counter);
+}
+
+// The naming rule of the registry: an explicit name must be unused by a
+// live model (duplicates would make stats(find_model(name)) ambiguous);
+// an empty name generates "model-<n>" from the next id up, skipping
+// names taken explicitly, so anonymous registration never fails.
+// Retired ids release their names for reuse.
+std::string resolve_model_name(
+    std::string name, const std::vector<ShardRouter::ModelEntry>& models) {
+  const auto taken = [&](const std::string& n) {
+    for (const auto& e : models) {
+      if (!e.retired && e.name == n) return true;
+    }
+    return false;
+  };
+  if (name.empty()) {
+    std::size_t k = models.size();
+    do {
+      name = "model-" + std::to_string(k++);
+    } while (taken(name));
+  } else {
+    RADIX_REQUIRE(!taken(name), "ShardRouter: duplicate model name");
+  }
+  return name;
 }
 
 }  // namespace
@@ -117,24 +136,14 @@ ModelId ShardRouter::add_model(std::shared_ptr<const infer::SparseDnn> model,
   RADIX_REQUIRE(static_cast<std::size_t>(qos.priority) < kNumPriorities,
                 "ShardRouter: invalid priority class");
   RADIX_REQUIRE(qos.weight >= 1, "ShardRouter: weight must be >= 1");
-  // The router names the model itself (rather than letting each shard
-  // generate a default) so every shard registers the SAME name and
-  // find_model agrees between router and shards.  admin_mutex_ makes
-  // concurrent add_model calls atomic across shards -- ids stay in
-  // lockstep.
+  // The name lives only in the router's registry; shards know the model
+  // by id.  admin_mutex_ makes concurrent add_model calls atomic across
+  // shards -- ids stay in lockstep.
   std::scoped_lock lock(admin_mutex_);
   RADIX_REQUIRE(!shutdown_, "ShardRouter: add_model after shutdown");
   auto next = clone_fleet_locked();  // engines are stable under the lock
   const ModelId id = next->models.size();
-  name = detail::resolve_model_name(
-      std::move(name), id,
-      [&](const std::string& n) {
-        for (const auto& e : next->models) {
-          if (!e.retired && e.name == n) return true;
-        }
-        return false;
-      },
-      "ShardRouter");
+  name = resolve_model_name(std::move(name), next->models);
   // Down shards are skipped: restart_shard replays the registry into
   // their replacements, so they pick this model up then.
   const auto& engines = next->engines;
@@ -144,7 +153,7 @@ ModelId ShardRouter::add_model(std::shared_ptr<const infer::SparseDnn> model,
     for (std::size_t s = 0; s < engines.size(); ++s) {
       if (next->health[s] == ShardHealth::kDown) continue;
       if (options_.registration_hook) options_.registration_hook(s, id);
-      const ModelId shard_id = engines[s]->add_model(model, name, qos);
+      const ModelId shard_id = engines[s]->add_model(model, qos);
       RADIX_ASSERT(shard_id == id, "ShardRouter: shard ids out of sync");
       registered.push_back(s);
     }
@@ -208,11 +217,15 @@ void ShardRouter::swap_model(ModelId id,
   RADIX_REQUIRE(id < next->models.size(), "ShardRouter: unknown model id");
   RADIX_REQUIRE(!next->models[id].retired,
                 "ShardRouter: cannot swap a removed model");
+  // The registry validates the shape itself, so a swap while every
+  // shard is down cannot publish a different model; with one dnn for
+  // every shard, no shard can then refuse it.
+  const auto& current = *next->models[id].dnn;
+  RADIX_REQUIRE_DIM(dnn->input_width() == current.input_width() &&
+                        dnn->output_width() == current.output_width(),
+                    "ShardRouter::swap_model: version widths differ");
   for (std::size_t s = 0; s < next->engines.size(); ++s) {
     if (next->health[s] == ShardHealth::kDown) continue;
-    // The first shard validates the version's shape; with one dnn for
-    // every shard a later-shard failure is impossible, so the cutover
-    // is all-or-nothing in practice.
     next->engines[s]->swap_model(id, dnn);
   }
   next->models[id].dnn = std::move(dnn);
@@ -344,14 +357,10 @@ void ShardRouter::replay_registry(Engine& engine,
       RADIX_ASSERT(t == id, "ShardRouter: replayed ids out of sync");
       continue;
     }
-    const ModelId got = engine.add_model(e.dnn, e.name, e.qos);
+    // The registry's dnn is the current version; the registry keeps
+    // the version count, so one registration per id is the whole replay.
+    const ModelId got = engine.add_model(e.dnn, e.qos);
     RADIX_ASSERT(got == id, "ShardRouter: replayed ids out of sync");
-    // Replay the swap count so the rebuilt shard reports the same
-    // model_version as its siblings (the dnn is already the current
-    // version; the transpose caches are shared, so this is cheap).
-    for (std::uint32_t v = 1; v < e.version; ++v) {
-      engine.swap_model(id, e.dnn);
-    }
   }
 }
 

@@ -1,6 +1,8 @@
 // ShardRouter: one model sharded across N independent serving engines,
-// behind the same Backend interface as a single Engine -- with per-shard
+// behind the Backend interface (serve/backend.hpp) -- with per-shard
 // health, live lifecycle, and request-level failover on shard loss.
+// It is the in-process Backend; its engines are shards it drives, not
+// backends of their own.
 //
 // One Engine scales until its monitor, queues and worker pool saturate
 // one socket's worth of contention; the Graph-Challenge regime wants
@@ -11,12 +13,12 @@
 // incoming request to one of them:
 //
 //   * add_model registers the model (same shared SparseDnn, same QoS
-//     policy, same name) on every live shard; ids are identical across
-//     shards and across the router.  remove_model / swap_model apply
-//     the Engine lifecycle fleet-wide (see engine.hpp).  The router's
-//     own registry is the one authority on what is registered:
-//     find_model(), model_entry() and models() answer from it, never
-//     from a shard, so they stay right while any shard is down.
+//     policy) on every live shard; ids are identical across shards and
+//     across the router.  remove_model / swap_model apply the Engine
+//     lifecycle fleet-wide (see engine.hpp).  The router's own registry
+//     is the only place a model has a name or a version: find_model(),
+//     model_entry() and models() answer from it, so they stay right
+//     while any shard is down, and shards never have to agree on them.
 //   * submit picks the shard by power-of-two-choices on queue depth:
 //     two random in-rotation shards are probed and the request goes to
 //     the one with fewer pending requests for its model.  That is one
@@ -56,9 +58,10 @@
 //     engine, so stats() sees them in exactly one place at any moment
 //     -- kills never lose history.
 //   * restart_shard(i): return a drained shard to rotation, or replace
-//     a down shard with a fresh engine carrying the full model registry
-//     (including removed-model tombstones and swap version counters, so
-//     id spaces and versions stay in lockstep fleet-wide).
+//     a down shard with a fresh engine that registers each live id's
+//     current version once and tombstones the retired ids, so id spaces
+//     stay in lockstep fleet-wide.  The rebuild costs the same however
+//     many swaps came before it.
 //
 // A one-shard router is the degenerate fleet radix-served runs with
 // --shards 1: drain_shard takes its only shard out of rotation, and
@@ -172,13 +175,15 @@ class ShardRouter final : public Backend {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   /// Register a model on every live shard; returns the router-wide id
-  /// (equal on every shard).  `name` must be unique within the router
-  /// (empty generates "model-<id>").  Safe to call while traffic is
-  /// served.  All-or-nothing: if any shard fails to register, the
-  /// shards that did are rolled back and the id is burned fleet-wide
-  /// with tombstones (ids are never reused, so the per-shard id spaces
-  /// stay in lockstep), then the error is rethrown -- the router keeps
-  /// serving its existing models and accepts further add_model calls.
+  /// (equal on every shard).  `name` must be unique among the live
+  /// models (empty generates "model-<n>", skipping names already
+  /// taken); a duplicate throws and consumes no id.  Safe to call while
+  /// traffic is served.  All-or-nothing: if any shard fails to
+  /// register, the shards that did are rolled back and the id is burned
+  /// fleet-wide with tombstones (ids are never reused, so the per-shard
+  /// id spaces stay in lockstep), then the error is rethrown -- the
+  /// router keeps serving its existing models and accepts further
+  /// add_model calls.
   ModelId add_model(std::shared_ptr<const infer::SparseDnn> model,
                     std::string name = "", QosPolicy qos = {});
 
@@ -191,7 +196,8 @@ class ShardRouter final : public Backend {
   /// Engine::swap_model on every live shard.  The version is prewarmed
   /// once before the first shard cuts over; each shard's cutover is
   /// atomic (a batch is never split across versions) and the submit
-  /// hot path is never blocked.
+  /// hot path is never blocked.  Bumps model_entry(id).version; a
+  /// rejected swap (different widths, removed id) changes nothing.
   void swap_model(ModelId id, std::shared_ptr<const infer::SparseDnn> dnn);
 
   std::size_t num_shards() const noexcept;
@@ -211,8 +217,8 @@ class ShardRouter final : public Backend {
     std::shared_ptr<const infer::SparseDnn> dnn;  // current version
     std::string name;
     QosPolicy qos;
-    /// 1 after add_model, +1 per swap_model cutover; a rebuilt shard
-    /// replays the count so it reports the same model_version.
+    /// 1 after add_model, +1 per swap_model cutover.  Shards keep no
+    /// version of their own; this is the only one.
     std::uint32_t version = 1;
     bool retired = false;  // removed, or burned by a rollback
   };
@@ -241,9 +247,9 @@ class ShardRouter final : public Backend {
 
   /// Return shard `index` to rotation.  A draining shard simply
   /// re-enters rotation.  A down shard is replaced by a fresh engine
-  /// that re-registers the full model registry -- ids, names, QoS,
-  /// removed-model tombstones and swap version counters all match its
-  /// siblings.  No-op when the shard is already up.
+  /// rebuilt from the registry: each live id's current dnn and QoS,
+  /// tombstones for the retired ids, so its ids match its siblings'.
+  /// No-op when the shard is already up.
   void restart_shard(std::size_t index);
 
   /// Requests successfully resubmitted on another shard after their
@@ -328,7 +334,8 @@ class ShardRouter final : public Backend {
   std::shared_ptr<Fleet> clone_fleet_locked() const;
   /// Recompute `healthy` and publish; caller holds admin_mutex_.
   void publish_locked(std::shared_ptr<Fleet> next);
-  /// Register `models` (tombstones, versions and all) on a new engine.
+  /// Register each live id's current dnn on a new engine, and a
+  /// tombstone for each retired id.
   static void replay_registry(Engine& engine,
                               const std::vector<ModelEntry>& models);
   /// stats(model) as seen by one snapshot.

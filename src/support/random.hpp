@@ -15,6 +15,15 @@
 
 namespace radix {
 
+/// The SplitMix64 finalizer: a bijective multiply-xorshift mix of one
+/// 64-bit word.  Rng seeds through it; the router's shard picks and the
+/// fault injector's draws are mixed with it.
+constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   using result_type = std::uint64_t;

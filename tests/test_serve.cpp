@@ -1,14 +1,15 @@
-// End-to-end tests of the serving engine behind the unified front-end
-// API (serve/request.hpp + serve/backend.hpp): batched results must be
-// bit-identical to direct SparseDnn::forward of the same rows (batch
-// rows are independent under the challenge rule, so coalescing must not
-// change values), across future and callback completion, borrowed and
-// owned inputs, all three admission modes, multiple models, graceful
-// shutdown drain, model lookup by name, and the stats surface.
+// End-to-end tests of the serving engine's submit surface
+// (serve/request.hpp): batched results must be bit-identical to direct
+// SparseDnn::forward of the same rows (batch rows are independent under
+// the challenge rule, so coalescing must not change values), across
+// future and callback completion, borrowed and owned inputs, all three
+// admission modes, multiple models, graceful shutdown drain, and the
+// stats surface.
 #include "serve/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "radixnet/graph_challenge.hpp"
-#include "serve/client.hpp"
 #include "serve/stats.hpp"
 #include "support/random.hpp"
 
@@ -53,8 +53,7 @@ std::vector<float> direct_forward(const infer::SparseDnn& dnn,
 TEST(ServeEngine, SingleRequestMatchesDirectForward) {
   const auto m = make_model(1024, 4, 1);
   Engine engine({.workers = 1});
-  const auto id = engine.add_model(m.dnn, "gc-1024");
-  EXPECT_EQ(engine.model_name(id), "gc-1024");
+  const auto id = engine.add_model(m.dnn);
 
   Rng irng(3);
   const auto x = gc::synthetic_input(5, m.width, 0.4, irng);
@@ -65,35 +64,6 @@ TEST(ServeEngine, SingleRequestMatchesDirectForward) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(got[i], want[i]) << "at " << i;
   }
-}
-
-TEST(ServeEngine, FindModelByNameAndDuplicateNamesRejected) {
-  const auto m0 = make_model(1024, 2, 50);
-  const auto m1 = make_model(1024, 2, 51);
-  Engine engine({.workers = 1});
-  const auto chat = engine.add_model(m0.dnn, "chat");
-  const auto anon = engine.add_model(m1.dnn);  // generated name
-
-  ASSERT_TRUE(engine.find_model("chat").has_value());
-  EXPECT_EQ(engine.find_model("chat").value(), chat);
-  ASSERT_TRUE(engine.find_model(engine.model_name(anon)).has_value());
-  EXPECT_EQ(engine.find_model(engine.model_name(anon)).value(), anon);
-  EXPECT_FALSE(engine.find_model("no-such-model").has_value());
-
-  // Two models sharing one name would make stats ambiguous: rejected,
-  // and the failed registration must not consume an id.
-  EXPECT_THROW((void)engine.add_model(m1.dnn, "chat"), Error);
-  EXPECT_EQ(engine.num_models(), 2u);
-  const auto third = engine.add_model(m1.dnn, "chat-2");
-  EXPECT_EQ(third, 2u);
-
-  // Anonymous registration must dodge an explicitly taken "model-<n>"
-  // name instead of failing.
-  (void)engine.add_model(m1.dnn, "model-4");  // id 3, squats the next slot
-  const auto anon2 = engine.add_model(m1.dnn);
-  EXPECT_EQ(anon2, 4u);
-  EXPECT_EQ(engine.model_name(anon2), "model-5");
-  EXPECT_EQ(engine.find_model("model-5").value(), anon2);
 }
 
 TEST(ServeEngine, ManyConcurrentRequestsAreBitExactAndCoalesce) {
@@ -229,34 +199,14 @@ TEST(ServeEngine, ZeroRowSubmitCompletesImmediately) {
   EXPECT_TRUE(fut.get().empty());
 }
 
-TEST(ServeEngine, ClientBindsBackendAndModel) {
-  const auto m = make_model(1024, 2, 14);
-  Engine engine({.workers = 1});
-  const auto id = engine.add_model(m.dnn, "bound");
-
-  Client client(engine, engine.find_model("bound").value());
-  EXPECT_TRUE(client.bound());
-  EXPECT_EQ(client.model(), id);
-  EXPECT_EQ(&client.backend(), static_cast<Backend*>(&engine));
-
-  Rng irng(15);
-  const auto x = gc::synthetic_input(2, m.width, 0.4, irng);
-  const auto want = direct_forward(*m.dnn, x, 2);
-  // Borrowed (span) and owned (vector) wrappers funnel into the same
-  // backend entry point.
-  EXPECT_EQ(client.submit(x, 2).get(), want);
-  EXPECT_EQ(client.submit(std::vector<float>(x), 2).get(), want);
-  EXPECT_EQ(client.stats().requests, 2u);
-  EXPECT_EQ(client.pending(), 0u);
-}
-
 TEST(ServeEngine, MultiModelRoutingAndStatsIsolation) {
   const auto m0 = make_model(1024, 4, 6);
   const auto m1 = make_model(4096, 3, 7);
   Engine engine({.workers = 2, .max_delay = 1ms});
-  const auto id0 = engine.add_model(m0.dnn, "small");
-  const auto id1 = engine.add_model(m1.dnn, "wide");
-  EXPECT_EQ(engine.num_models(), 2u);
+  const auto id0 = engine.add_model(m0.dnn);
+  const auto id1 = engine.add_model(m1.dnn);
+  EXPECT_EQ(id0, 0u);
+  EXPECT_EQ(id1, 1u) << "ids are dense, in registration order";
 
   Rng irng(13);
   const auto x0 = gc::synthetic_input(2, m0.width, 0.4, irng);
@@ -349,19 +299,20 @@ TEST(ServeEngine, ConcurrentAddModelKeepsIdsConsistent) {
     std::vector<std::thread> registrars;
     for (int t = 0; t < 4; ++t) {
       registrars.emplace_back([&, t] {
-        ids[static_cast<std::size_t>(t)] = engine.add_model(
-            models[static_cast<std::size_t>(t)].dnn,
-            "model-t" + std::to_string(t));
+        ids[static_cast<std::size_t>(t)] =
+            engine.add_model(models[static_cast<std::size_t>(t)].dnn);
       });
     }
     for (auto& th : registrars) th.join();
   }
-  EXPECT_EQ(engine.num_models(), 4u);
+  std::vector<ModelId> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, (std::vector<ModelId>{0, 1, 2, 3}))
+      << "concurrent registrations must take the dense ids 0..3 once each";
   Rng irng(29);
   const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
   for (int t = 0; t < 4; ++t) {
     const auto id = ids[static_cast<std::size_t>(t)];
-    EXPECT_EQ(engine.find_model("model-t" + std::to_string(t)).value(), id);
     auto fut =
         engine.submit(InferenceRequest::borrowed(id, x, 1)).take_future();
     EXPECT_EQ(fut.get(),
@@ -401,16 +352,15 @@ TEST(ServeEngineQos, ModelPolicyIsModelValueElseEngineDefault) {
   opts.max_delay = 300us;
   Engine engine(opts);
 
-  const auto plain = engine.add_model(m.dnn, "plain");
+  const auto plain = engine.add_model(m.dnn);
   const auto chat = engine.add_model(
-      m.dnn, "chat",
+      m.dnn,
       {.priority = Priority::kInteractive,
        .weight = 4,
        .max_delay = 50us,
        .max_batch_rows = 4});
   const auto custom = engine.add_model(
-      m.dnn, "custom",
-      {.priority = Priority::kInteractive, .max_delay = 10us});
+      m.dnn, {.priority = Priority::kInteractive, .max_delay = 10us});
 
   // Engine defaults for a model that sets nothing.
   EXPECT_EQ(engine.model_policy(plain).priority, Priority::kBatch);
@@ -433,10 +383,10 @@ TEST(ServeEngineQos, ClassStatsAggregatePerPriority) {
   const auto m0 = make_model(1024, 2, 31);
   const auto m1 = make_model(1024, 2, 32);
   Engine engine({.workers = 2, .max_delay = 0us});
-  const auto chat = engine.add_model(
-      m0.dnn, "chat", {.priority = Priority::kInteractive});
-  const auto bulk = engine.add_model(
-      m1.dnn, "bulk", {.priority = Priority::kBackground});
+  const auto chat =
+      engine.add_model(m0.dnn, {.priority = Priority::kInteractive});
+  const auto bulk =
+      engine.add_model(m1.dnn, {.priority = Priority::kBackground});
 
   Rng irng(33);
   const auto x = gc::synthetic_input(1, 1024, 0.4, irng);

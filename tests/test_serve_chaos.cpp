@@ -219,10 +219,14 @@ TEST(ServeChaos, ShardChurnUnderBurstyLoadLosesNothing) {
   EXPECT_GT(pre_swap_b, 0u);
   EXPECT_GT(post_swap_b, 0u) << "swap happened after the last B request";
 
-  // The registry survived two kills and a maintenance cycle intact.
+  // The registry survived two kills and a maintenance cycle intact:
+  // the router counts one swap, and every shard -- the two rebuilt ones
+  // included -- holds the current version of each model.
+  EXPECT_EQ(router.model_entry(b).version, 2u);
+  EXPECT_EQ(router.model_entry(a).version, 1u);
   for (std::size_t shard = 0; shard < router.num_shards(); ++shard) {
-    EXPECT_EQ(router.shard(shard).model_version(b), 2u);
-    EXPECT_EQ(router.shard(shard).model_version(a), 1u);
+    EXPECT_EQ(&router.shard(shard).model(b), d_b2.get()) << "shard " << shard;
+    EXPECT_EQ(&router.shard(shard).model(a), d_a.get()) << "shard " << shard;
   }
   EXPECT_GE(router.stats(a).requests + router.stats(b).requests, sent.size());
 }

@@ -1,7 +1,9 @@
 // Backend conformance suite: the contracts every serve::Backend must
-// honor, run against all three implementations -- Engine, ShardRouter
-// and (over a loopback socket) net::RemoteBackend.  New backends get
-// added to the INSTANTIATE list and inherit the whole suite.
+// honor, run against both implementations -- ShardRouter (as a two-shard
+// and as a one-shard fleet) and, over a loopback socket, a
+// net::RemoteBackend fronting a one-shard router, as radix-served does.
+// New backends get added to the INSTANTIATE list and inherit the whole
+// suite.
 //
 // The contracts under test:
 //   * admission is a VALUE: rejections (fail-fast on a full queue,
@@ -29,7 +31,6 @@
 #include "net/server.hpp"
 #include "radixnet/graph_challenge.hpp"
 #include "serve/client.hpp"
-#include "serve/engine.hpp"
 #include "serve/router.hpp"
 #include "support/random.hpp"
 
@@ -54,23 +55,22 @@ std::vector<float> direct_forward(const infer::SparseDnn& dnn,
   return {y.begin(), y.end()};
 }
 
-enum class BackendKind { kEngine, kRouter, kRemote };
+enum class BackendKind { kTwoShardRouter, kOneShardRouter, kRemote };
 
 const char* kind_name(BackendKind k) {
   switch (k) {
-    case BackendKind::kEngine: return "Engine";
-    case BackendKind::kRouter: return "ShardRouter";
+    case BackendKind::kTwoShardRouter: return "TwoShardRouter";
+    case BackendKind::kOneShardRouter: return "OneShardRouter";
     case BackendKind::kRemote: return "RemoteBackend";
   }
   return "?";
 }
 
-/// One serving stack under test.  The substrate (Engine or ShardRouter)
-/// always exists; the remote flavor fronts it with a net::Server and
-/// points `backend` at a RemoteBackend instead.
+/// One serving stack under test.  The router always exists; the remote
+/// flavor fronts it with a net::Server and points `backend` at a
+/// RemoteBackend instead.
 struct Stack {
   std::shared_ptr<infer::SparseDnn> dnn;
-  std::unique_ptr<Engine> engine;
   std::unique_ptr<ShardRouter> router;
   std::unique_ptr<net::Server> server;
   std::unique_ptr<net::RemoteBackend> remote;
@@ -82,7 +82,6 @@ struct Stack {
   Stack() = default;
   Stack(Stack&& other) noexcept
       : dnn(std::move(other.dnn)),
-        engine(std::move(other.engine)),
         router(std::move(other.router)),
         server(std::move(other.server)),
         remote(std::move(other.remote)),
@@ -94,7 +93,6 @@ struct Stack {
     if (remote) remote->shutdown();
     if (server) server->stop();
     if (router) router->shutdown();
-    if (engine) engine->shutdown();
   }
 };
 
@@ -102,23 +100,16 @@ Stack make_stack(BackendKind kind, EngineOptions engine_options = {
                                        .workers = 1, .queue_capacity = 64}) {
   Stack s;
   s.dnn = make_dnn(1024, 4, 90);
-  Backend* substrate = nullptr;
-  if (kind == BackendKind::kRouter) {
-    s.router = std::make_unique<ShardRouter>(
-        ShardRouterOptions{.shards = 2, .engine = engine_options});
-    s.model = s.router->add_model(s.dnn, "conf");
-    substrate = s.router.get();
-  } else {
-    s.engine = std::make_unique<Engine>(engine_options);
-    s.model = s.engine->add_model(s.dnn, "conf");
-    substrate = s.engine.get();
-  }
+  const std::size_t shards = kind == BackendKind::kTwoShardRouter ? 2 : 1;
+  s.router = std::make_unique<ShardRouter>(
+      ShardRouterOptions{.shards = shards, .engine = engine_options});
+  s.model = s.router->add_model(s.dnn, "conf");
   if (kind == BackendKind::kRemote) {
-    s.server = std::make_unique<net::Server>(*substrate);
+    s.server = std::make_unique<net::Server>(*s.router);
     s.remote = std::make_unique<net::RemoteBackend>(s.server->port());
     s.backend = s.remote.get();
   } else {
-    s.backend = substrate;
+    s.backend = s.router.get();
   }
   return s;
 }
@@ -279,8 +270,8 @@ TEST_P(BackendConformance, FailFastOnFullQueueRejectsAsValue) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
-                         ::testing::Values(BackendKind::kEngine,
-                                           BackendKind::kRouter,
+                         ::testing::Values(BackendKind::kTwoShardRouter,
+                                           BackendKind::kOneShardRouter,
                                            BackendKind::kRemote),
                          [](const auto& param_info) {
                            return std::string(kind_name(param_info.param));

@@ -295,7 +295,7 @@ TEST(EngineDeadline, ExpiredRequestNeverReachesAWorker) {
                  .clock = &clock,
                  .fault = &fault});
   const auto id =
-      engine.add_model(m.dnn, "gc", {.priority = Priority::kInteractive});
+      engine.add_model(m.dnn, {.priority = Priority::kInteractive});
 
   Ledger plug, doomed;
   // The plug occupies the lone worker: claimed immediately, then parked
@@ -352,10 +352,10 @@ TEST(EngineShed, PressureShedDropsBackgroundBeforeInteractive) {
                  .clock = &clock,
                  .shed_capacity = 4,
                  .fault = &fault});
-  const auto chat = engine.add_model(
-      m0.dnn, "chat", {.priority = Priority::kInteractive});
-  const auto bulk = engine.add_model(
-      m1.dnn, "bulk", {.priority = Priority::kBackground});
+  const auto chat =
+      engine.add_model(m0.dnn, {.priority = Priority::kInteractive});
+  const auto bulk =
+      engine.add_model(m1.dnn, {.priority = Priority::kBackground});
 
   Ledger chat_led, bulk_led;
   // Plug the worker so everything below stays queued deterministically.
@@ -434,7 +434,7 @@ TEST(EngineBoundedWait, AdmissionWaitIsCappedAtRemainingDeadline) {
                  .clock = &clock,
                  .fault = &fault});
   const auto id =
-      engine.add_model(m.dnn, "gc", {.priority = Priority::kInteractive});
+      engine.add_model(m.dnn, {.priority = Priority::kInteractive});
 
   Ledger plug, filler, doomed;
   // The plug occupies the lone worker (parked in the injector's 10ms
@@ -612,9 +612,9 @@ TEST(EngineUnservedExit, ThrowingShedCompletionIsSwallowed) {
                  .shed_capacity = 1,
                  .fault = &fault});
   const auto bulk =
-      engine.add_model(m.dnn, "bulk", {.priority = Priority::kBackground});
+      engine.add_model(m.dnn, {.priority = Priority::kBackground});
   const auto chat =
-      engine.add_model(m.dnn, "chat", {.priority = Priority::kInteractive});
+      engine.add_model(m.dnn, {.priority = Priority::kInteractive});
 
   Ledger plug, served;
   ThrowingDone victim;
@@ -668,7 +668,7 @@ TEST(EngineUnservedExit, ThrowingExpiredCompletionIsSwallowed) {
                  .clock = &clock,
                  .fault = &fault});
   const auto id =
-      engine.add_model(m.dnn, "gc", {.priority = Priority::kInteractive});
+      engine.add_model(m.dnn, {.priority = Priority::kInteractive});
 
   Ledger plug;
   ThrowingDone doomed;
@@ -711,7 +711,7 @@ TEST(EngineUnservedExit, ThrowingAbortOrphanCompletionIsSwallowed) {
                  .max_delay = 0us,
                  .clock = &clock,
                  .fault = &fault});
-  const auto id = engine.add_model(m.dnn, "gc", {.priority = Priority::kBatch});
+  const auto id = engine.add_model(m.dnn, {.priority = Priority::kBatch});
 
   auto plug =
       engine.submit(InferenceRequest::borrowed(id, x, 1)).take_future();

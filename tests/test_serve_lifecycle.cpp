@@ -44,7 +44,7 @@ std::vector<float> direct_forward(const infer::SparseDnn& dnn,
 TEST(EngineLifecycle, RemoveModelServesBacklogThenRejects) {
   const auto dnn = make_dnn(1024, 2, 80);
   Engine engine({.workers = 1, .max_delay = 200us});
-  const auto id = engine.add_model(dnn, "victim");
+  const auto id = engine.add_model(dnn);
   Rng irng(81);
   const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
   const auto want = direct_forward(*dnn, x, 1);
@@ -60,8 +60,6 @@ TEST(EngineLifecycle, RemoveModelServesBacklogThenRejects) {
     EXPECT_EQ(f.get(), want) << "admitted before remove => served in full";
   }
   EXPECT_TRUE(engine.model_retired(id));
-  EXPECT_EQ(engine.num_models(), 0u);
-  EXPECT_FALSE(engine.find_model("victim").has_value());
   // Rejection is a value (service ended), never an exception -- for the
   // batched path and the zero-row inline path alike.
   EXPECT_FALSE(engine.submit(InferenceRequest::borrowed(id, x, 1)).admitted());
@@ -73,64 +71,62 @@ TEST(EngineLifecycle, RemoveModelServesBacklogThenRejects) {
   EXPECT_TRUE(engine.accepting()) << "removing one model must not stop others";
 }
 
-TEST(EngineLifecycle, RemovedNameIsReusableButIdIsNot) {
+TEST(EngineLifecycle, RemovedIdIsNeverReused) {
   const auto d0 = make_dnn(1024, 2, 82);
   const auto d1 = make_dnn(1024, 2, 83);
   Engine engine({.workers = 1});
-  const auto first = engine.add_model(d0, "svc");
+  const auto first = engine.add_model(d0);
   engine.remove_model(first);
-  const auto second = engine.add_model(d1, "svc");  // name free again
+  const auto second = engine.add_model(d1);
   EXPECT_EQ(first, 0u);
   EXPECT_EQ(second, 1u) << "ids are never reused, even after remove";
-  EXPECT_EQ(engine.find_model("svc").value(), second);
-  EXPECT_EQ(engine.num_models(), 1u);
+  EXPECT_TRUE(engine.model_retired(first));
+  EXPECT_FALSE(engine.model_retired(second));
   Rng irng(84);
   const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
   EXPECT_EQ(engine.submit(InferenceRequest::borrowed(second, x, 1)).get(),
             direct_forward(*d1, x, 1));
 }
 
-TEST(EngineLifecycle, SwapModelCutsOverBitExactAndBumpsVersion) {
+TEST(EngineLifecycle, SwapModelCutsOverBitExact) {
   const auto v1 = make_dnn(1024, 2, 85);
   const auto v2 = make_dnn(1024, 2, 86);
   Engine engine({.workers = 1});
-  const auto id = engine.add_model(v1, "svc");
+  const auto id = engine.add_model(v1);
   Rng irng(87);
   const auto x = gc::synthetic_input(2, 1024, 0.4, irng);
   const auto want1 = direct_forward(*v1, x, 2);
   const auto want2 = direct_forward(*v2, x, 2);
   ASSERT_NE(want1, want2) << "test needs distinguishable versions";
 
-  EXPECT_EQ(engine.model_version(id), 1u);
+  EXPECT_EQ(&engine.model(id), v1.get());
   EXPECT_EQ(engine.submit(InferenceRequest::borrowed(id, x, 2)).get(), want1);
   engine.swap_model(id, v2);
-  EXPECT_EQ(engine.model_version(id), 2u);
+  EXPECT_EQ(&engine.model(id), v2.get());
   EXPECT_EQ(engine.submit(InferenceRequest::borrowed(id, x, 2)).get(), want2);
   // One id, one stats stream across versions.
   EXPECT_EQ(engine.stats(id).requests, 2u);
-  EXPECT_EQ(engine.num_models(), 1u);
-  EXPECT_EQ(&engine.model(id), v2.get());
 }
 
 TEST(EngineLifecycle, SwapModelValidatesShapeAndLiveness) {
   const auto wide = make_dnn(1024, 2, 88);
   const auto narrow = make_dnn(4096, 3, 89);
   Engine engine({.workers = 1});
-  const auto id = engine.add_model(wide, "svc");
+  const auto id = engine.add_model(wide);
   EXPECT_THROW(engine.swap_model(id, narrow), DimensionError)
       << "a version with different widths is a different model";
   EXPECT_THROW(engine.swap_model(id + 1, wide), Error);
   EXPECT_THROW(engine.swap_model(id, nullptr), Error);
+  EXPECT_EQ(&engine.model(id), wide.get()) << "failed swaps must not publish";
   engine.remove_model(id);
   EXPECT_THROW(engine.swap_model(id, wide), Error);
-  EXPECT_EQ(engine.model_version(id), 1u) << "failed swaps must not publish";
 }
 
 TEST(EngineLifecycle, PostSwapSubmissionsNeverSeeTheOldVersion) {
   const auto v1 = make_dnn(1024, 2, 90);
   const auto v2 = make_dnn(1024, 2, 91);
   Engine engine({.workers = 2, .max_batch_rows = 4, .max_delay = 50us});
-  const auto id = engine.add_model(v1, "hot");
+  const auto id = engine.add_model(v1);
   Rng irng(92);
   const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
   const auto want1 = direct_forward(*v1, x, 1);
@@ -188,7 +184,7 @@ TEST(EngineLifecycle, AbortFailsQueuedWithAbortedErrorAndFinishesClaimed) {
   Engine engine(
       {.workers = 1, .max_batch_rows = 1, .max_delay = 0us,
        .queue_capacity = 8});
-  const auto id = engine.add_model(dnn, "doomed");
+  const auto id = engine.add_model(dnn);
   Rng irng(94);
   const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
 
@@ -232,7 +228,7 @@ TEST(EngineLifecycle, AbortFailsQueuedWithAbortedErrorAndFinishesClaimed) {
 TEST(EngineLifecycle, QuiesceWaitsOutTheBacklog) {
   const auto dnn = make_dnn(1024, 2, 95);
   Engine engine({.workers = 1, .max_delay = 200us});
-  const auto id = engine.add_model(dnn, "bg");
+  const auto id = engine.add_model(dnn);
   Rng irng(96);
   const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
   std::vector<std::future<std::vector<float>>> futures;
@@ -259,14 +255,15 @@ TEST(EngineLifecycle, TombstoneBurnsAnIdWithoutServingAnything) {
   const auto d0 = make_dnn(1024, 2, 97);
   const auto d1 = make_dnn(1024, 2, 98);
   Engine engine({.workers = 1});
-  const auto a = engine.add_model(d0, "a");
+  const auto a = engine.add_model(d0);
   const auto burned = engine.add_tombstone();
-  const auto b = engine.add_model(d1, "b");
+  const auto b = engine.add_model(d1);
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(burned, 1u);
   EXPECT_EQ(b, 2u) << "the tombstone must consume exactly one id";
   EXPECT_TRUE(engine.model_retired(burned));
-  EXPECT_EQ(engine.num_models(), 2u);
+  EXPECT_FALSE(engine.model_retired(a));
+  EXPECT_FALSE(engine.model_retired(b));
   Rng irng(99);
   const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
   EXPECT_FALSE(

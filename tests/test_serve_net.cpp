@@ -1,7 +1,7 @@
 // End-to-end tests of the networked serving front-end: an in-process
-// net::Server fronting a bare Engine (Backend verbs only, no admin
-// hooks) or a ShardRouter (with its admin hooks), driven through
-// net::RemoteBackend over a loopback socket.  The load-bearing claims:
+// net::Server fronting a ShardRouter -- a one-shard fleet with no admin
+// hooks (Backend verbs only), or a fleet with its admin hooks -- driven
+// through net::RemoteBackend over a loopback socket.  The load-bearing claims:
 // remote submission is bit-exact with a direct fused forward, stats
 // fetched over the wire match the in-process snapshot EXACTLY (raw
 // histogram grids included), admin verbs round-trip -- answered from
@@ -30,7 +30,6 @@
 #include "net/remote_backend.hpp"
 #include "net/socket.hpp"
 #include "radixnet/graph_challenge.hpp"
-#include "serve/engine.hpp"
 #include "serve/router.hpp"
 #include "store/artifact.hpp"
 #include "support/random.hpp"
@@ -68,41 +67,39 @@ struct ScratchDir {
   }
 };
 
-/// In-process served stack: backend + server, torn down in reverse.
+/// In-process served stack: router + server, torn down in reverse.
 struct Served {
   std::shared_ptr<infer::SparseDnn> dnn;
-  std::unique_ptr<serve::Engine> engine;
   std::unique_ptr<serve::ShardRouter> router;
-  serve::Backend* backend = nullptr;
   std::unique_ptr<Server> server;
 
-  serve::Backend& local() { return *backend; }
+  serve::Backend& local() { return *router; }
 
   Served() = default;
   Served(Served&& other) noexcept
       : dnn(std::move(other.dnn)),
-        engine(std::move(other.engine)),
         router(std::move(other.router)),
-        backend(std::exchange(other.backend, nullptr)),
         server(std::move(other.server)) {}
   Served& operator=(Served&&) = delete;
 
   ~Served() {
     if (server) server->stop();
-    if (backend) backend->shutdown();
+    if (router) router->shutdown();
   }
 };
 
-Served engine_served(serve::EngineOptions engine_options = {.workers = 1},
+/// A one-shard fleet behind a server with no admin hooks: the Backend
+/// verbs only.
+Served hookless_served(serve::EngineOptions engine_options = {.workers = 1},
                      std::size_t layers = 4) {
   Served s;
   s.dnn = make_dnn(1024, layers, 71);
-  s.engine = std::make_unique<serve::Engine>(engine_options);
-  s.backend = s.engine.get();
-  s.engine->add_model(s.dnn, "alpha",
+  s.router = std::make_unique<serve::ShardRouter>(
+      serve::ShardRouterOptions{.shards = 1, .engine = engine_options});
+  s.router->add_model(s.dnn, "alpha",
                       {.priority = serve::Priority::kInteractive});
-  s.engine->add_model(s.dnn, "beta", {.priority = serve::Priority::kBatch});
-  s.server = std::make_unique<Server>(*s.backend);
+  s.router->add_model(s.dnn, "beta", {.priority = serve::Priority::kBatch});
+  s.server = std::make_unique<Server>(*s.router);
   return s;
 }
 
@@ -111,17 +108,16 @@ Served router_served(std::size_t shards = 2) {
   s.dnn = make_dnn(1024, 4, 72);
   s.router = std::make_unique<serve::ShardRouter>(
       serve::ShardRouterOptions{.shards = shards, .engine = {.workers = 1}});
-  s.backend = s.router.get();
   s.router->add_model(s.dnn, "alpha",
                       {.priority = serve::Priority::kInteractive});
   ServerOptions options;
   options.hooks = make_admin_hooks(*s.router);
-  s.server = std::make_unique<Server>(*s.backend, options);
+  s.server = std::make_unique<Server>(*s.router, options);
   return s;
 }
 
 TEST(ServeNet, SubmitFutureBitExactAndStatsMatchInProcess) {
-  Served s = engine_served();
+  Served s = hookless_served();
   RemoteBackend remote(s.server->port());
   EXPECT_TRUE(remote.accepting());
 
@@ -171,7 +167,7 @@ TEST(ServeNet, SubmitFutureBitExactAndStatsMatchInProcess) {
 }
 
 TEST(ServeNet, SubmitCallbackDeliversOutputAndTiming) {
-  Served s = engine_served();
+  Served s = hookless_served();
   RemoteBackend remote(s.server->port());
 
   Rng irng(74);
@@ -232,9 +228,9 @@ TEST(ServeNet, ConcurrentCallersShareOneConnection) {
 }
 
 TEST(ServeNet, HooklessServerAnswersAdminVerbsUnsupported) {
-  // Admin hooks exist only for the router; a server fronting a bare
-  // Engine answers admin verbs with kError, not a crash.
-  Served s = engine_served();
+  // A server built without admin hooks answers admin verbs with
+  // kError, not a crash.
+  Served s = hookless_served();
   RemoteBackend remote(s.server->port());
   EXPECT_THROW(remote.shard_ctl(ShardVerb::kHealth), Error);
   EXPECT_THROW(remote.list_models(), Error);
@@ -242,12 +238,12 @@ TEST(ServeNet, HooklessServerAnswersAdminVerbsUnsupported) {
 }
 
 TEST(ServeNet, ShutDownBackendRejectsRemoteSubmits) {
-  Served s = engine_served();
+  Served s = hookless_served();
   RemoteBackend remote(s.server->port());
 
   // Shutting the backend down closes admission; the remote caller gets
   // the rejection as a VALUE, exactly like an in-process caller.
-  s.engine->shutdown();
+  s.router->shutdown();
   Rng irng(75);
   const auto input = gc::synthetic_input(1, 1024, 0.4, irng);
   const auto result =
@@ -257,7 +253,7 @@ TEST(ServeNet, ShutDownBackendRejectsRemoteSubmits) {
 }
 
 TEST(ServeNet, ExpiredDeadlineCompletesWithDeadlineExceeded) {
-  Served s = engine_served();
+  Served s = hookless_served();
   RemoteBackend remote(s.server->port());
 
   Rng irng(76);
@@ -276,7 +272,7 @@ TEST(ServeNet, ExpiredDeadlineCompletesWithDeadlineExceeded) {
 }
 
 TEST(ServeNet, UnknownModelFailsTheSubmitCall) {
-  Served s = engine_served();
+  Served s = hookless_served();
   RemoteBackend remote(s.server->port());
   Rng irng(77);
   const auto input = gc::synthetic_input(1, 1024, 0.4, irng);
@@ -287,7 +283,7 @@ TEST(ServeNet, UnknownModelFailsTheSubmitCall) {
 TEST(ServeNet, FailFastRejectsUnderBacklog) {
   // One worker, tiny queue, deep model: keep the worker busy so a
   // fail-fast submit meets a full queue.
-  Served s = engine_served({.workers = 1, .queue_capacity = 2}, 12);
+  Served s = hookless_served({.workers = 1, .queue_capacity = 2}, 12);
   RemoteBackend remote(s.server->port());
 
   Rng irng(78);
@@ -514,7 +510,7 @@ TEST(ServeNet, ClientDisconnectOrphansLateResponses) {
   // socket, then vanish.  The server must notice the EOF, complete the
   // backend requests anyway (it cannot un-submit them), and DROP the
   // responses -- counted as orphaned, never written to a dead fd.
-  Served s = engine_served({.workers = 1}, 12);
+  Served s = hookless_served({.workers = 1}, 12);
 
   Rng irng(80);
   const auto input = gc::synthetic_input(64, 1024, 0.4, irng);
@@ -550,7 +546,7 @@ TEST(ServeNet, ClientDisconnectOrphansLateResponses) {
 }
 
 TEST(ServeNet, LocalShutdownDrainsAndStopsAdmitting) {
-  Served s = engine_served();
+  Served s = hookless_served();
   auto remote = std::make_unique<RemoteBackend>(s.server->port());
 
   Rng irng(81);
@@ -668,8 +664,29 @@ TEST(ServeNet, ResponseJustBeforeCloseIsStillTheAnswer) {
   EXPECT_EQ(not_io_error, 0);
 }
 
+TEST(ServeNet, HostileReplyCountsThrowIoErrorBeforeReserving) {
+  // Replies that claim 2^32-1 rows and carry none are refused from
+  // their length alone: reserving for the claim first would ask for
+  // 256 GiB of model rows, or 4 GiB of shard health.
+  AnswerOnceThenClose peer(2, [](const Fd& fd, const Frame& f) {
+    std::vector<std::uint8_t> body;
+    WireWriter w(body);
+    w.u32(0xffffffffu);
+    send_frame(fd,
+               f.type == MsgType::kListModelsReq ? MsgType::kListModelsResp
+                                                 : MsgType::kShardCtlResp,
+               f.correlation, body);
+  });
+  {
+    RemoteBackend remote(peer.port());
+    EXPECT_THROW((void)remote.list_models(), IoError);
+  }
+  RemoteBackend remote(peer.port());
+  EXPECT_THROW((void)remote.shard_ctl(ShardVerb::kHealth), IoError);
+}
+
 TEST(ServeNet, ShutdownVerbStopsTheServer) {
-  Served s = engine_served();
+  Served s = hookless_served();
   RemoteBackend remote(s.server->port());
   EXPECT_FALSE(s.server->stopped());
   remote.server_shutdown();

@@ -65,6 +65,35 @@ TEST(Wire, TruncatedReadsThrow) {
   EXPECT_THROW(r2.expect_end(), IoError);    // trailing bytes
 }
 
+TEST(Wire, CountsAreCheckedAgainstTheBodyBeforeReserving) {
+  // A body claiming 2^32-1 floats and carrying one: refused from the
+  // count alone, before the reader reserves 16 GiB for it.
+  std::vector<std::uint8_t> buf;
+  WireWriter w(buf);
+  w.u32(0xffffffffu);
+  w.f32(1.0f);
+  WireReader r(buf);
+  EXPECT_THROW((void)r.floats(), IoError);
+
+  // count() admits exactly the items that fit at their shortest
+  // encoding, and refuses one byte's worth more.
+  std::vector<std::uint8_t> two;
+  WireWriter w2(two);
+  w2.u32(2);
+  w2.u16(7);
+  w2.u16(8);
+  WireReader fits(two);
+  EXPECT_EQ(fits.count(2), 2u);
+  WireReader too_many(two);
+  EXPECT_THROW((void)too_many.count(3), IoError);
+
+  // kModelInfoMinBytes is the encoding of a row with an empty name.
+  std::vector<std::uint8_t> shortest;
+  WireWriter w3(shortest);
+  encode_model_info(w3, WireModelInfo{});
+  EXPECT_EQ(shortest.size(), kModelInfoMinBytes);
+}
+
 TEST(Wire, FrameRoundTripAndIncrementalParse) {
   std::vector<std::uint8_t> body;
   WireWriter w(body);

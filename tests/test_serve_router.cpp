@@ -123,26 +123,54 @@ TEST(ShardRouter, FindModelNamesAndDuplicateRejection) {
   EXPECT_EQ(router.num_models(), 2u);
   EXPECT_EQ(router.find_model("alpha").value(), a);
   EXPECT_EQ(router.find_model("model-1").value(), anon);
+  EXPECT_EQ(router.model_entry(anon).name, "model-1");
   EXPECT_FALSE(router.find_model("beta").has_value());
-  // Router and shard registries agree on names.
-  for (std::size_t s = 0; s < router.num_shards(); ++s) {
-    EXPECT_EQ(router.shard(s).find_model("alpha").value(), a);
-    EXPECT_EQ(router.shard(s).model_name(anon), "model-1");
-  }
+
+  // Two live models sharing one name would make stats ambiguous:
+  // rejected, and the failed registration must not consume an id.
   EXPECT_THROW((void)router.add_model(d1, "alpha"), Error);
   EXPECT_EQ(router.num_models(), 2u);
+  EXPECT_EQ(router.add_model(d1, "alpha-2"), 2u);
+
+  // Anonymous registration must dodge an explicitly taken "model-<n>"
+  // name instead of failing.
+  EXPECT_EQ(router.add_model(d1, "model-4"), 3u);  // squats the next name
+  const auto anon2 = router.add_model(d1);
+  EXPECT_EQ(anon2, 4u);
+  EXPECT_EQ(router.model_entry(anon2).name, "model-5");
+  EXPECT_EQ(router.find_model("model-5").value(), anon2);
+
+  // A removed model's name is free again; its id is not.
+  router.remove_model(a);
+  EXPECT_FALSE(router.find_model("alpha").has_value());
+  const auto again = router.add_model(d1, "alpha");
+  EXPECT_EQ(again, 5u) << "ids are never reused, even after remove";
+  EXPECT_EQ(router.find_model("alpha").value(), again);
+  EXPECT_TRUE(router.model_entry(a).retired);
+  Rng irng(84);
+  const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
+  EXPECT_EQ(router.submit(InferenceRequest::borrowed(again, x, 1)).get(),
+            direct_forward(*d1, x, 1));
+  EXPECT_FALSE(router.submit(InferenceRequest::borrowed(a, x, 1)).admitted());
 }
 
 TEST(ShardRouter, ClientWorksOverRouterBackend) {
   const auto dnn = make_dnn(1024, 2, 66);
   ShardRouter router({.shards = 2, .engine = {.workers = 1}});
-  (void)router.add_model(dnn, "svc");
+  const auto id = router.add_model(dnn, "svc");
   Client client(router, router.find_model("svc").value());
+  EXPECT_TRUE(client.bound());
+  EXPECT_EQ(client.model(), id);
+  EXPECT_EQ(&client.backend(), static_cast<Backend*>(&router));
   Rng irng(67);
   const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
   const auto want = direct_forward(*dnn, x, 1);
+  // Borrowed (span) and owned (vector) wrappers funnel into the same
+  // backend entry point.
   for (int i = 0; i < 6; ++i) EXPECT_EQ(client.submit(x, 1).get(), want);
-  EXPECT_EQ(client.stats().requests, 6u);
+  EXPECT_EQ(client.submit(std::vector<float>(x), 1).get(), want);
+  EXPECT_EQ(client.stats().requests, 7u);
+  EXPECT_EQ(client.pending(), 0u);
 }
 
 TEST(ShardRouter, ConcurrentClientsSpreadAndStayBitExact) {
@@ -261,28 +289,23 @@ TEST(ShardRouter, FailFastAdmissionIsPerChosenShard) {
 }
 
 TEST(ShardRouter, BoundedDrawIsInRangeAndUnbiased) {
-  // Local splitmix64: deterministic, decorrelated inputs for the draw.
-  const auto mix = [](std::uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  };
   // Edges: the widening multiply maps the extremes of the input range
   // onto the extremes of [0, n).
   EXPECT_EQ(detail::bounded_draw(0, 6), 0u);
   EXPECT_EQ(detail::bounded_draw(~std::uint64_t{0}, 6), 5u);
-  EXPECT_EQ(detail::bounded_draw(mix(1), 1), 0u);
+  EXPECT_EQ(detail::bounded_draw(mix64(1), 1), 0u);
 
   // Chi-square goodness of fit for n = 6 (not a power of two, so the
-  // old `r % n` would have been biased).  Inputs are a fixed splitmix64
-  // stream, so the statistic is a constant -- this cannot flake.  The
+  // old `r % n` would have been biased).  Inputs are a fixed SplitMix64
+  // stream (mix64 of a Weyl sequence), so the statistic is a constant --
+  // this cannot flake.  The
   // bound is the 99.9th percentile of chi^2 with 5 degrees of freedom.
   constexpr std::uint64_t kN = 6;
   constexpr int kDraws = 120000;
   std::array<std::uint64_t, kN> counts{};
   for (int i = 1; i <= kDraws; ++i) {
     const std::uint64_t d =
-        detail::bounded_draw(mix(0x9e3779b97f4a7c15ull * i), kN);
+        detail::bounded_draw(mix64(0x9e3779b97f4a7c15ull * i), kN);
     ASSERT_LT(d, kN);
     ++counts[d];
   }
@@ -419,8 +442,10 @@ TEST(ShardRouter, AddModelRollbackKeepsShardIdSpacesInLockstep) {
 
   const auto c = router.add_model(d1, "c");
   EXPECT_EQ(c, 2u) << "ids desynced across the rollback";
+  EXPECT_EQ(router.find_model("c").value(), c);
   for (std::size_t s = 0; s < router.num_shards(); ++s) {
-    EXPECT_EQ(router.shard(s).find_model("c").value(), c);
+    EXPECT_EQ(&router.shard(s).model(c), d1.get())
+        << "shard " << s << " serves another model under id " << c;
   }
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(router.submit(InferenceRequest::borrowed(c, x, 1)).get(),
@@ -483,13 +508,14 @@ TEST(ShardRouter, RestartReplaysRegistryAndCarriesStats) {
   EXPECT_EQ(router.shard_health(0), ShardHealth::kUp);
 
   // The rebuilt shard must be indistinguishable from its siblings:
-  // same ids, same names, same tombstones, same swap version.
+  // same ids, same tombstones, the current version's weights.  Names
+  // and versions live in the router's registry alone.
   const Engine& rebuilt = router.shard(0);
-  EXPECT_EQ(rebuilt.num_models(), 1u);
   EXPECT_TRUE(rebuilt.model_retired(a));
-  EXPECT_EQ(rebuilt.find_model("b").value(), b);
-  EXPECT_EQ(rebuilt.model_version(b), 2u);
-  EXPECT_EQ(rebuilt.model_version(b), router.shard(1).model_version(b));
+  EXPECT_FALSE(rebuilt.model_retired(b));
+  EXPECT_EQ(&rebuilt.model(b), d_b2.get());
+  EXPECT_EQ(router.find_model("b").value(), b);
+  EXPECT_EQ(router.model_entry(b).version, 2u);
 
   // Restarts must not lose history: the merged view still carries every
   // pre-kill request, and new traffic lands on top -- served by v2.
@@ -529,7 +555,7 @@ TEST(ShardRouter, ModelAddedWhileShardDownIsServedAndRestartRejoins) {
 
   router.restart_shard(0);
   EXPECT_EQ(router.shard_health(0), ShardHealth::kUp);
-  EXPECT_EQ(router.shard(0).find_model("b").value(), b);
+  EXPECT_EQ(&router.shard(0).model(b), d_b.get());
   EXPECT_EQ(router.stats(b).requests, 6u) << "stats(b) jumped on restart";
   EXPECT_EQ(router.stats(a).requests, 4u);
 
@@ -544,6 +570,71 @@ TEST(ShardRouter, ModelAddedWhileShardDownIsServedAndRestartRejoins) {
   EXPECT_EQ(router.shard(1).stats(b).requests, 6u);
   EXPECT_EQ(router.stats(b).requests, 11u);
   EXPECT_EQ(router.stats(b).errors, 0u);
+}
+
+TEST(ShardRouter, RejectedSwapLeavesVersionAndWeights) {
+  const auto v1 = make_dnn(1024, 2, 111);
+  const auto v2 = make_dnn(1024, 2, 112);
+  const auto other_width = make_dnn(4096, 3, 113);
+  ShardRouter router({.shards = 2, .engine = {.workers = 1}});
+  const auto id = router.add_model(v1, "svc");
+  const auto gone = router.add_model(v2, "gone");
+  router.remove_model(gone);
+  Rng irng(114);
+  const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
+  const auto want = direct_forward(*v1, x, 1);
+  ASSERT_NE(want, direct_forward(*v2, x, 1));
+
+  EXPECT_THROW(router.swap_model(id, other_width), DimensionError)
+      << "a version with different widths is a different model";
+  EXPECT_THROW(router.swap_model(gone, v1), Error);
+  EXPECT_THROW(router.swap_model(gone + 1, v2), Error);
+  EXPECT_THROW(router.swap_model(id, nullptr), Error);
+  EXPECT_EQ(router.model_entry(id).version, 1u)
+      << "failed swaps must not publish";
+  EXPECT_EQ(router.model_entry(id).dnn.get(), v1.get());
+  EXPECT_EQ(router.model_entry(gone).version, 1u);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(router.submit(InferenceRequest::borrowed(id, x, 1)).get(), want);
+  }
+
+  // With every shard down no engine sees the swap: the registry itself
+  // must refuse it, or the rebuilt shards would serve another model.
+  router.kill_shard(0);
+  router.kill_shard(1);
+  EXPECT_THROW(router.swap_model(id, other_width), DimensionError);
+  EXPECT_EQ(router.model_entry(id).version, 1u);
+  router.restart_shard(0);
+  EXPECT_EQ(router.submit(InferenceRequest::borrowed(id, x, 1)).get(), want);
+}
+
+TEST(ShardRouter, RestartAfterManySwapsServesTheCurrentVersion) {
+  // A rebuilt shard registers each live id's current version once; the
+  // swap history is a number in the registry, not work to replay.
+  const auto v_a = make_dnn(1024, 2, 115);
+  const auto v_b = make_dnn(1024, 2, 116);
+  ShardRouter router({.shards = 2, .engine = {.workers = 1}});
+  const auto id = router.add_model(v_a, "churn");
+  constexpr std::uint32_t kSwaps = 1000;
+  for (std::uint32_t i = 1; i <= kSwaps; ++i) {
+    router.swap_model(id, i % 2 == 0 ? v_b : v_a);  // ends on v_b
+  }
+  router.kill_shard(0);
+  router.restart_shard(0);
+  EXPECT_EQ(router.model_entry(id).version, kSwaps + 1);
+
+  // Hold shard 1 out of rotation so the rebuilt shard serves.
+  router.drain_shard(1);
+  Rng irng(117);
+  const auto x = gc::synthetic_input(2, 1024, 0.4, irng);
+  const auto want = direct_forward(*v_b, x, 2);
+  ASSERT_NE(want, direct_forward(*v_a, x, 2));
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(router.submit(InferenceRequest::borrowed(id, x, 2)).get(), want);
+  }
+  EXPECT_EQ(router.shard(0).stats(id).requests, 5u);
+  EXPECT_EQ(&router.shard(0).model(id), v_b.get());
+  router.restart_shard(1);
 }
 
 // ---------------------------------------------------------------------------
@@ -774,7 +865,7 @@ TEST(ClassStats, EngineClassViewIsTheMergeOfItsModels) {
   const std::vector<Priority> classes = {
       Priority::kInteractive, Priority::kBatch, Priority::kBackground,
       Priority::kBatch};
-  for (const Priority p : classes) engine.add_model(d, "", {.priority = p});
+  for (const Priority p : classes) engine.add_model(d, {.priority = p});
   Rng irng(121);
   const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
 

@@ -53,8 +53,8 @@ TEST(ServeStress, ManyClientsOneEngineBitExact) {
                         .max_batch_rows = 32,
                         .max_delay = 500us,
                         .queue_capacity = 64});
-  const auto id0 = engine.add_model(dnn0, "a");
-  const auto id1 = engine.add_model(dnn1, "b");
+  const auto id0 = engine.add_model(dnn0);
+  const auto id1 = engine.add_model(dnn1);
 
   // A small pool of distinct request payloads with precomputed expected
   // outputs; clients cycle through it.
@@ -172,12 +172,12 @@ TEST(ServeStress, MixedPriorityQosUnderContention) {
   opts.starvation_bound = 4;  // tight bound: background must interleave
   serve::Engine engine(opts);
   const auto chat = engine.add_model(
-      dnn_i, "chat", {.priority = serve::Priority::kInteractive,
-                      .weight = 4,
-                      .max_delay = std::chrono::microseconds(50),
-                      .max_batch_rows = 8});
-  const auto bulk = engine.add_model(
-      dnn_b, "bulk", {.priority = serve::Priority::kBackground});
+      dnn_i, {.priority = serve::Priority::kInteractive,
+              .weight = 4,
+              .max_delay = std::chrono::microseconds(50),
+              .max_batch_rows = 8});
+  const auto bulk =
+      engine.add_model(dnn_b, {.priority = serve::Priority::kBackground});
 
   constexpr index_t kPayloads = 4;
   struct Payload {

@@ -176,7 +176,7 @@ TEST(EngineTrace, FullLifecycleTimelineIsDeterministicUnderFakeClock) {
                  .clock = &clock,
                  .tracer = &tracer,
                  .shard_index = 5});
-  const auto id = engine.add_model(dnn, "traced");
+  const auto id = engine.add_model(dnn);
   Rng irng(42);
   const auto x = gc::synthetic_input(2, 1024, 0.4, irng);
 
@@ -219,7 +219,7 @@ TEST(EngineTrace, RequestIdReachesCompletionTimingAndExpiredIsTraced) {
                  .max_delay = 0us,
                  .clock = &clock,
                  .tracer = &tracer});
-  const auto id = engine.add_model(dnn, "exp");
+  const auto id = engine.add_model(dnn);
   Rng irng(44);
   const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
 
