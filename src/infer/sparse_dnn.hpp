@@ -23,6 +23,7 @@
 //   * denser inputs -> row-*gather* arm over a transposed copy of the
 //     layer (built lazily on first use, then cached), which streams the
 //     weights sequentially and accumulates each output in a register
+//     (four batch rows per vector register in blocks of 4 or 8 rows)
 //     instead of scattering read-modify-write traffic.
 //
 // Activations live in a caller-provided InferenceWorkspace: two
@@ -32,7 +33,8 @@
 // may build transposed layers).  Layer 0 reads the caller's batch in
 // place; the only copies of activations are the gather arm's packs,
 // which re-lay each block of up to 8 input rows batch-interleaved so a
-// W^T entry costs one contiguous load (sparse/spmm.hpp).
+// W^T entry costs one contiguous load and one packed add per four rows
+// (sparse/spmm.hpp).
 // Concurrent forward calls on one SparseDnn instance are safe as long
 // as each caller brings its own workspace (the lazy transpose cache is
 // mutex-guarded).
@@ -70,17 +72,18 @@ namespace radix::infer {
 /// Activation-density crossover of the adaptive dispatch.  Below it the
 /// scatter arm's zero-activation row skip saves more weight traffic than
 /// the gather arm's sequential streaming recovers; above it the gather
-/// arm wins.  Re-measured on a 4-core Xeon with the batch-interleaved
-/// gather kernel: each layer of a Graph-Challenge net run alone with
-/// each arm forced at a set input density, times summed over the net.
-/// The gather/scatter time ratio reaches 1 at these input densities:
+/// arm wins.  Re-measured on a 4-core Xeon with the gather arm's
+/// 4-float vector blocks: each layer of a Graph-Challenge net run alone
+/// with each arm forced at a set input density, times summed over the
+/// net.  The gather/scatter time ratio reaches 1 at these input
+/// densities:
 ///
 ///                batch 1      batch 8      batch 64
-///   1024 x 12    0.30         0.20-0.25    0.25
-///   4096 x 24    0.30-0.40    0.25         0.25
+///   1024 x 12    0.30-0.40    0.05         0.05
+///   4096 x 24    0.30-0.40    0.03-0.05    0.03-0.05
 ///
-/// So 0.25 sits on the batched crossover; one-row batches would be
-/// served best by about 0.3-0.4.
+/// So 0.25 sits between the two crossovers: one-row batches would be
+/// served best by about 0.3-0.4, batched ones by about 0.05.
 inline constexpr double kGatherDensityThreshold = 0.25;
 
 /// What SparseDnn::prewarm should make ready ahead of the first

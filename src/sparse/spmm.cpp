@@ -1,6 +1,8 @@
 #include "sparse/spmm.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <memory>
 
 #include "support/error.hpp"
@@ -11,18 +13,14 @@ namespace {
 
 // Batch-tile width of the fused kernels.  Each weight-matrix row entry
 // (colind + value) is loaded once per tile of kBatchTile batch rows
-// instead of once per batch row, and the tile's kBatchTile accumulator
-// chains are independent, so out-of-order execution hides the FP-add
-// latency that serializes a one-row-at-a-time kernel.  The tile's
-// activations stay register/L1-resident across the inner row loop.
-// 8 was measured fastest on the bench host while the gather arm loaded
-// each entry's activations from kBatchTile separate rows (4 leaves
-// add-latency unhidden, 16 spills accumulators).  That note no longer
-// describes the gather arm, which now reads one batch-interleaved slice
-// per entry (csrT_fused_block): on a 4-core Xeon a 16-row gather tile
-// ran one 4096-wide Graph-Challenge layer at batch 64 in about half
-// the time of the 8-row tile.  Both arms share this width; it stays 8
-// until the scatter arm is re-measured with it.
+// instead of once per batch row, and the tile's accumulator chains are
+// independent, so out-of-order execution hides the FP-add latency that
+// serializes a one-row-at-a-time kernel.  The tile's activations stay
+// register/L1-resident across the inner row loop.  Re-measured with the
+// gather arm's vector blocks (csrT_fused_block) on a 4-core Xeon: a
+// 16-row tile, one block of four 4-float accumulators, read 0.72-0.97x
+// the 8-row tile's gather edges/s over a 4096 x 24 Graph-Challenge net
+// at batch 64 (6 runs).  Both arms share this width.
 constexpr index_t kBatchTile = 8;
 
 // The Graph-Challenge epilogue.  Kept as two independent ifs (not
@@ -34,6 +32,35 @@ inline float epilogue(float v, float scale, float bias, float clamp) {
   if (v < 0.0f) v = 0.0f;
   if (clamp > 0.0f && v > clamp) v = clamp;
   return v;
+}
+
+// Four float lanes, and the lane mask their comparisons yield.  GCC and
+// Clang lower arithmetic, comparisons and ?: on these to packed SSE at
+// the baseline x86-64 ISA, with no intrinsics.  Kept at 16 bytes: a
+// 32-byte vector per 8-row block compiled, without AVX, to a stack
+// load-add-store per W^T entry.
+typedef float f32x4 __attribute__((vector_size(16)));
+typedef std::int32_t i32x4 __attribute__((vector_size(16)));
+
+// A caller's pack is only float-aligned, so slices load through memcpy
+// (an unaligned packed load).
+inline f32x4 load_f32x4(const float* p) {
+  f32x4 v = {};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// epilogue() on four lanes, bit for bit, with selects in place of its
+// branches.  The ReLU select keeps -0.0 and NaN lanes, as `v < 0` does.
+// A disabled clamp becomes a ceiling of +Inf, which no lane, NaN
+// included, compares greater than.
+inline f32x4 epilogue(f32x4 v, float scale, float bias, float clamp) {
+  const float top =
+      clamp > 0.0f ? clamp : std::numeric_limits<float>::infinity();
+  const f32x4 zero = {}, ceiling = {top, top, top, top};
+  v = v * scale + bias;
+  v = v < zero ? zero : v;
+  return v > ceiling ? ceiling : v;
 }
 
 // Shared body of the fused scatter kernels.  kUniform drops the
@@ -109,14 +136,17 @@ std::uint64_t csr_fused_impl(const float* x, index_t batch, index_t m,
       grain_for_cost(ops_per_tile));
 }
 
-// One J-row block of the fused gather kernel: J independent accumulator
-// chains over W^T's row r, epilogue applied in registers.  J is a
-// compile-time constant so the inner loops fully unroll.  For J > 1 the
-// block's input rows are first packed batch-interleaved into
-// pack[b0*m ...] as xp[c*J + j] = x[(b0 + j)*m + c], so each W^T entry
-// reads one contiguous J-float slice instead of J rows m floats apart;
-// J = 1 reads x in place (the two layouts coincide).  Each lane still
-// sums in ascending k order, so the packing never changes a bit.
+// One J-row block of the fused gather kernel: J accumulator lanes over
+// W^T's row r, epilogue applied in registers.  J is a compile-time
+// constant so the inner loops fully unroll.  For J > 1 the block's input
+// rows are first packed batch-interleaved into pack[b0*m ...] as
+// xp[c*J + j] = x[(b0 + j)*m + c], so each W^T entry reads one
+// contiguous J-float slice instead of J rows m floats apart; J = 1 reads
+// x in place (the two layouts coincide).  The 4- and 8-row blocks add
+// that slice as J/4 packed 4-float adds and run the epilogue as lane
+// selects, with no per-lane branch; the 1- and 2-row blocks keep J
+// scalar chains.  Each lane still sums in ascending k order, so neither
+// the packing nor the vectors change a bit.
 template <bool kUniform, int J>
 std::uint64_t csrT_fused_block(const float* x, index_t b0, index_t m,
                                index_t n, std::span<const offset_t> rowptr,
@@ -136,34 +166,62 @@ std::uint64_t csrT_fused_block(const float* x, index_t b0, index_t m,
     xp = p;
   }
   std::uint64_t nz = 0;
-  for (index_t r = 0; r < n; ++r) {
-    float acc[J] = {};
-    for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
-      const float* xc = xp + static_cast<std::size_t>(colind[k]) * J;
-      if constexpr (kUniform) {
-        for (int j = 0; j < J; ++j) acc[j] += xc[j];
-      } else {
-        const float v = vals[k];
-        for (int j = 0; j < J; ++j) acc[j] += xc[j] * v;
+  if constexpr (J % 4 == 0) {
+    for (index_t r = 0; r < n; ++r) {
+      // Lane j of acc[q] sums block row b0 + 4q + j.
+      f32x4 acc[J / 4] = {};
+      for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
+        const float* xc = xp + static_cast<std::size_t>(colind[k]) * J;
+        for (int q = 0; q < J / 4; ++q) {
+          if constexpr (kUniform) {
+            acc[q] += load_f32x4(xc + 4 * q);
+          } else {
+            acc[q] += load_f32x4(xc + 4 * q) * vals[k];
+          }
+        }
       }
+      i32x4 live = {};  // nonzero outputs per lane, at most J / 4
+      for (int q = 0; q < J / 4; ++q) {
+        const f32x4 v = epilogue(acc[q], scale, bias, clamp);
+        live -= v != f32x4{};  // a true lane compares as -1
+        for (int j = 0; j < 4; ++j) {
+          y[static_cast<std::size_t>(b0 + 4 * q + j) * n + r] = v[j];
+        }
+      }
+      nz += static_cast<std::uint64_t>(live[0] + live[1] + live[2] +
+                                       live[3]);
     }
-    for (int j = 0; j < J; ++j) {
-      const float v = epilogue(acc[j], scale, bias, clamp);
-      y[static_cast<std::size_t>(b0 + j) * n + r] = v;
-      nz += v != 0.0f ? 1 : 0;
+  } else {
+    for (index_t r = 0; r < n; ++r) {
+      float acc[J] = {};
+      for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
+        const float* xc = xp + static_cast<std::size_t>(colind[k]) * J;
+        if constexpr (kUniform) {
+          for (int j = 0; j < J; ++j) acc[j] += xc[j];
+        } else {
+          const float v = vals[k];
+          for (int j = 0; j < J; ++j) acc[j] += xc[j] * v;
+        }
+      }
+      for (int j = 0; j < J; ++j) {
+        const float v = epilogue(acc[j], scale, bias, clamp);
+        y[static_cast<std::size_t>(b0 + j) * n + r] = v;
+        nz += v != 0.0f ? 1 : 0;
+      }
     }
   }
   return nz;
 }
 
 // Shared body of the fused gather kernels over a pre-transposed layer.
-// Each W^T row entry is loaded once per kBatchTile batch rows, feeding
-// kBatchTile independent accumulator chains (out-of-order execution
-// hides the FP-add latency a single chain serializes on); partial tiles
-// step down through 4/2/1-row blocks rather than collapsing to the
-// serial chain.  Every accumulator sums in ascending input-index order
-// -- the same order the scatter arm adds contributions -- so both arms
-// are bit-identical.  Block rows [b, b+J) pack at pack[b*m ...], so
+// Each W^T row entry is loaded once per kBatchTile batch rows and feeds
+// kBatchTile accumulator lanes: two 4-float vectors in an 8-row block,
+// whose independent chains out-of-order execution overlaps (a single
+// chain serializes on the FP-add latency).  Partial tiles step down
+// through 4/2/1-row blocks rather than collapsing to the serial chain.
+// Every accumulator sums in ascending input-index order -- the same
+// order the scatter arm adds contributions -- so both arms are
+// bit-identical.  Block rows [b, b+J) pack at pack[b*m ...], so
 // concurrent tiles never share pack space.
 template <bool kUniform>
 std::uint64_t csrT_fused_impl(const float* x, index_t batch, index_t m,

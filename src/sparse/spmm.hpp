@@ -76,13 +76,15 @@ std::uint64_t spmm_dense_csr_fused(const float* x, index_t batch, index_t m,
 /// row loop it packs the block's input rows batch-interleaved
 /// (xp[c*J + j] = x[(b0 + j)*m + c] for a J-row block at row b0), so
 /// each W^T entry costs one contiguous J-float load instead of J loads
-/// m floats apart.  `pack` is that space: at least batch x m floats,
-/// contents ignored and overwritten; block rows [b0, b0+J) use
-/// pack[b0*m, (b0+J)*m), so concurrent tiles never overlap.  One-row
-/// blocks read x in place and leave pack untouched, so pack may be null
-/// when batch is 1.  The overload without `pack` allocates it per call
-/// (uninitialized); hot paths pass workspace memory instead
-/// (infer::InferenceWorkspace).
+/// m floats apart.  Blocks of 4 and 8 rows add each slice as 4-float
+/// vectors and apply the epilogue lane-wise with selects, bit-identical
+/// to the scalar form (-0.0, NaN and Inf included).  `pack` is that
+/// space: at least batch x m floats, float-aligned, contents ignored and
+/// overwritten; block rows [b0, b0+J) use pack[b0*m, (b0+J)*m), so
+/// concurrent tiles never overlap.  One-row blocks read x in place and
+/// leave pack untouched, so pack may be null when batch is 1.  The
+/// overload without `pack` allocates it per call (uninitialized); hot
+/// paths pass workspace memory instead (infer::InferenceWorkspace).
 std::uint64_t spmm_dense_csrT_fused(const float* x, index_t batch,
                                     index_t m, CsrFloatView wt,
                                     float* y, float bias, float clamp,

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -153,7 +155,9 @@ void expect_bit_exact(std::span<const float> got,
                       const std::vector<float>& want, const char* tag) {
   ASSERT_EQ(got.size(), want.size()) << tag;
   for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(got[i], want[i]) << tag << " at " << i;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << tag << " at " << i << ": " << got[i] << " vs " << want[i];
   }
 }
 

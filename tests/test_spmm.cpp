@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -224,7 +225,13 @@ TEST(Spmm, GatherPackBitExactAtEveryBlockStep) {
   // The gather arm packs 8/4/2-row blocks batch-interleaved and reads
   // one-row blocks in place; batches 1..17 and 63..65 hit every step of
   // that ladder.  Non-square layer (m != n), negative non-uniform
-  // weights; the uniform kernels run over the same pattern.
+  // weights; the uniform kernels run over the same pattern.  Each batch
+  // runs three inputs: finite values; NaN and +-Inf entries, which the
+  // 4/8-row blocks' vector epilogue must pass through ReLU and clamp as
+  // the scalar one does; and all-zero rows through the uniform kernels
+  // at weight -0.0625 and bias -0.0, whose outputs are -0.0.  Every
+  // gather runs with its own pack, a caller pack, and a caller pack
+  // that is float-aligned but not 16-byte aligned.
   Rng rng(18);
   const index_t m = 37, n = 29;
   const auto w = random_csr(m, n, 0.3, rng);
@@ -237,8 +244,62 @@ TEST(Spmm, GatherPackBitExactAtEveryBlockStep) {
   const auto uw = Csr<float>::from_coo(ucoo);
   const auto wt = w.transpose();
   const auto uwt = uw.transpose();
-  const float bias = 0.05f, clamp = 0.7f;
-  const float poison = std::numeric_limits<float>::quiet_NaN();
+  const float clamp = 0.7f;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+
+  // Runs one input through both gather kernels against their scatter
+  // twins.
+  const auto check = [&](const std::vector<float>& x, index_t batch,
+                         float uniform_weight, float bias,
+                         const std::string& tag) {
+    const std::size_t out = static_cast<std::size_t>(batch) * n;
+    // Caller pack poisoned with NaN: any pack entry read before the
+    // kernel wrote it would poison an output.  One spare float makes
+    // room for the misaligned pack.
+    std::vector<float> pack(static_cast<std::size_t>(batch) * m + 1);
+    float* const packs[] = {nullptr, pack.data(), pack.data() + 1};
+    const char* const pack_tags[] = {"", ", caller pack",
+                                     ", misaligned caller pack"};
+
+    // General kernels: scatter is the reference.
+    std::vector<float> want(out);
+    const auto want_nz = spmm_dense_csr_fused(x.data(), batch, m, w,
+                                              want.data(), bias, clamp);
+    // Uniform kernels: the same, against the uniform scatter arm.
+    std::vector<float> uwant(out);
+    const auto uwant_nz =
+        spmm_dense_csr_fused_uniform(x.data(), batch, m, uw, uniform_weight,
+                                     uwant.data(), bias, clamp);
+    for (int i = 0; i < 3; ++i) {
+      const std::string ptag = tag + pack_tags[i];
+      std::vector<float> got(out, -1.0f), ugot(out, -2.0f);
+      std::fill(pack.begin(), pack.end(), nan);
+      const auto nz =
+          packs[i] == nullptr
+              ? spmm_dense_csrT_fused(x.data(), batch, m, wt, got.data(),
+                                      bias, clamp)
+              : spmm_dense_csrT_fused(x.data(), batch, m, wt, got.data(),
+                                      bias, clamp, packs[i]);
+      if (batch == 1) {
+        // A one-row block reads x in place and never touches the pack.
+        for (float v : pack) ASSERT_NE(v, v) << ptag;
+      }
+      std::fill(pack.begin(), pack.end(), nan);
+      const auto unz =
+          packs[i] == nullptr
+              ? spmm_dense_csrT_fused_uniform(x.data(), batch, m, uwt,
+                                              uniform_weight, ugot.data(),
+                                              bias, clamp)
+              : spmm_dense_csrT_fused_uniform(x.data(), batch, m, uwt,
+                                              uniform_weight, ugot.data(),
+                                              bias, clamp, packs[i]);
+      EXPECT_EQ(nz, want_nz) << ptag;
+      EXPECT_EQ(unz, uwant_nz) << ptag;
+      expect_same_bits(got, want, ptag + " gather");
+      expect_same_bits(ugot, uwant, ptag + " uniform gather");
+    }
+  };
 
   std::vector<index_t> batches;
   for (index_t b = 1; b <= 17; ++b) batches.push_back(b);
@@ -247,43 +308,41 @@ TEST(Spmm, GatherPackBitExactAtEveryBlockStep) {
     const std::string tag = "batch " + std::to_string(batch);
     auto x = random_dense(static_cast<std::size_t>(batch) * m, rng);
     for (std::size_t i = 0; i < x.size(); i += 5) x[i] = 0.0f;
-    const std::size_t out = static_cast<std::size_t>(batch) * n;
-    const std::size_t pack_floats = static_cast<std::size_t>(batch) * m;
+    check(x, batch, 0.0625f, 0.05f, tag);
 
-    // General kernels: scatter is the reference.
-    std::vector<float> want(out), got(out, -1.0f), got_pack(out, -2.0f);
-    const auto want_nz = spmm_dense_csr_fused(x.data(), batch, m, w,
-                                              want.data(), bias, clamp);
-    const auto nz = spmm_dense_csrT_fused(x.data(), batch, m, wt,
-                                          got.data(), bias, clamp);
-    // Caller pack poisoned with NaN: any pack entry read before the
-    // kernel wrote it would poison an output.
-    std::vector<float> pack(pack_floats, poison);
-    const auto nz_pack = spmm_dense_csrT_fused(
-        x.data(), batch, m, wt, got_pack.data(), bias, clamp, pack.data());
-    EXPECT_EQ(nz, want_nz) << tag;
-    EXPECT_EQ(nz_pack, want_nz) << tag;
-    expect_same_bits(got, want, tag + " gather");
-    expect_same_bits(got_pack, want, tag + " gather, caller pack");
-    if (batch == 1) {
-      // A one-row block reads x in place and never touches the pack.
-      for (float v : pack) ASSERT_NE(v, v) << tag;
+    // IEEE specials.  A row holds either NaN or infinities, never both:
+    // the sum of two different NaNs (an input's and Inf - Inf's) may
+    // keep either payload, depending on operand order.
+    auto xs = x;
+    for (index_t b = 0; b < batch; ++b) {
+      float* row = xs.data() + static_cast<std::size_t>(b) * m;
+      if (b % 2 == 0) {
+        row[(3 * b) % m] = nan;
+      } else {
+        row[(5 * b) % m] = inf;
+        row[(7 * b + 2) % m] = -inf;
+      }
     }
+    check(xs, batch, 0.0625f, 0.05f, tag + " NaN/Inf");
 
-    // Uniform kernels: the same, against the uniform scatter arm.
-    std::vector<float> uwant(out), ugot(out, -1.0f), ugot_pack(out, -2.0f);
-    const auto uwant_nz = spmm_dense_csr_fused_uniform(
-        x.data(), batch, m, uw, 0.0625f, uwant.data(), bias, clamp);
-    const auto unz = spmm_dense_csrT_fused_uniform(
-        x.data(), batch, m, uwt, 0.0625f, ugot.data(), bias, clamp);
-    std::fill(pack.begin(), pack.end(), poison);
-    const auto unz_pack = spmm_dense_csrT_fused_uniform(
-        x.data(), batch, m, uwt, 0.0625f, ugot_pack.data(), bias, clamp,
-        pack.data());
-    EXPECT_EQ(unz, uwant_nz) << tag;
-    EXPECT_EQ(unz_pack, uwant_nz) << tag;
-    expect_same_bits(ugot, uwant, tag + " uniform gather");
-    expect_same_bits(ugot_pack, uwant, tag + " uniform gather, caller pack");
+    // Every third row all zero: +0 * -0.0625 + -0.0 is -0.0, which the
+    // ReLU must keep and the count must skip.
+    auto xz = x;
+    for (index_t b = 0; b < batch; b += 3) {
+      std::fill_n(xz.begin() + static_cast<std::ptrdiff_t>(b) * m, m, 0.0f);
+    }
+    check(xz, batch, -0.0625f, -0.0f, tag + " -0.0");
+    std::vector<float> yz(static_cast<std::size_t>(batch) * n);
+    spmm_dense_csr_fused_uniform(xz.data(), batch, m, uw, -0.0625f,
+                                 yz.data(), -0.0f, clamp);
+    for (index_t b = 0; b < batch; b += 3) {
+      for (index_t c = 0; c < n; ++c) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                      yz[static_cast<std::size_t>(b) * n + c]),
+                  std::bit_cast<std::uint32_t>(-0.0f))
+            << tag << " row " << b;
+      }
+    }
   }
 }
 
