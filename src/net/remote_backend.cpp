@@ -3,24 +3,26 @@
 #include <sys/socket.h>
 
 #include <future>
+#include <utility>
 
 namespace radix::net {
 
 using serve::SubmitResult;
 
-/// One outstanding correlation: either an RPC waiting for its response
-/// frame, or a submit -- which waits for its kSubmitAck here AND owns
-/// the completion plumbing its kResult (possibly arriving first) is
-/// delivered through.  All fields are guarded by RemoteBackend::mutex_
-/// except `done`/`promise`, which are write-once before the frame is
-/// sent and only read by the delivering thread afterwards.
+/// One outstanding correlation: either an admin call waiting for its
+/// reply, or a submit -- which waits for its kSubmitAck the same way
+/// AND stays registered past the ack for the kResult (possibly arriving
+/// first) that `complete` delivers.  All fields are guarded by
+/// RemoteBackend::mutex_ except `done`/`promise`, which are write-once
+/// before the frame is sent and only read by the completing thread
+/// afterwards.
 struct RemoteBackend::Pending {
   bool is_submit = false;
-  std::optional<Frame> resp;  // ack / RPC response / kError
+  std::uint64_t correlation = 0;
+  std::optional<Frame> resp;  // ack / admin reply / kError
   bool failed = false;
   std::string fail_reason;
   bool ack_handled = false;
-  bool admitted = false;
   bool result_delivered = false;
   serve::DoneFn done;  // callback completion; else promise below
   std::shared_ptr<std::promise<std::vector<float>>> promise;
@@ -28,17 +30,28 @@ struct RemoteBackend::Pending {
 
 namespace {
 
-WireError decode_error_body(const Frame& frame) {
-  WireReader r(frame.body);
-  WireError e;
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(WireErrorKind::kDeadline)) {
-    throw IoError("wire: bad error kind");
+/// A reader over `resp`'s body once its type is checked: a kError
+/// throws the error it carries, any type but `expected` an IoError.
+WireReader reply_reader(const Frame& resp, MsgType expected) {
+  WireReader r(resp.body);
+  if (resp.type == MsgType::kError) {
+    const WireError e = decode_error(r);
+    r.expect_end();
+    throw_wire_error(e);
   }
-  e.kind = static_cast<WireErrorKind>(kind);
-  e.message = r.str();
-  return e;
+  if (resp.type != expected) throw IoError("wire: unexpected response type");
+  return r;
 }
+
+std::exception_ptr connection_lost(const std::string& reason) {
+  return std::make_exception_ptr(
+      IoError("radix-served connection lost: " + reason));
+}
+
+// Request and reply halves of the verbs whose frames carry no body.
+void no_body(WireWriter&) {}
+bool no_reply(WireReader&) { return true; }
+std::uint64_t read_u64(WireReader& r) { return r.u64(); }
 
 }  // namespace
 
@@ -57,81 +70,69 @@ void RemoteBackend::reader_loop() {
     for (;;) {
       auto frame = recv_frame(fd_);
       if (!frame) break;  // clean EOF
-      if (frame->type == MsgType::kResult) {
-        std::shared_ptr<Pending> entry;
-        {
-          std::scoped_lock lock(mutex_);
-          auto it = pending_.find(frame->correlation);
-          if (it != pending_.end() && it->second->is_submit &&
-              !it->second->result_delivered) {
-            entry = it->second;
-          }
-        }
-        if (!entry) continue;  // un-correlated result; drop
-        deliver_result(entry, *frame);  // user code: never under mutex_
-        {
-          std::scoped_lock lock(mutex_);
-          entry->result_delivered = true;
-          if (entry->ack_handled) pending_.erase(frame->correlation);
-          cv_.notify_all();
-        }
+      std::unique_lock lock(mutex_);
+      const auto it = pending_.find(frame->correlation);
+      if (it == pending_.end()) continue;  // un-correlated; drop
+      const std::shared_ptr<Pending> entry = it->second;
+      if (frame->type != MsgType::kResult) {
+        entry->resp = std::move(*frame);
+        cv_.notify_all();
         continue;
       }
-      std::scoped_lock lock(mutex_);
-      auto it = pending_.find(frame->correlation);
-      if (it != pending_.end()) {
-        it->second->resp = std::move(*frame);
-        cv_.notify_all();
-      }
+      if (!entry->is_submit || entry->result_delivered) continue;
+      lock.unlock();
+      // User code: never under mutex_.  A malformed body throws before
+      // anything is delivered, and fail_all below completes the entry.
+      deliver_result(*entry, *frame);
+      lock.lock();
+      entry->result_delivered = true;
+      if (entry->ack_handled) pending_.erase(entry->correlation);
+      cv_.notify_all();
     }
-  } catch (const Error& e) {
-    reason = e.what();
   } catch (const std::exception& e) {
     reason = e.what();
   }
   fail_all(reason);
 }
 
-void RemoteBackend::deliver_result(std::shared_ptr<Pending> entry,
-                                   const Frame& frame) {
+void RemoteBackend::deliver_result(Pending& entry, const Frame& frame) {
   WireReader r(frame.body);
-  const std::uint8_t kind = r.u8();
-  const std::string message = r.str();
+  const WireError e = decode_error(r);
   serve::RequestTiming timing;
   timing.queue_seconds = r.f64();
   timing.total_seconds = r.f64();
   timing.batch_rows = static_cast<index_t>(r.u32());
   timing.request_id = r.u64();
   std::vector<float> output = r.floats();
+  r.expect_end();
 
   std::exception_ptr error;
-  if (kind != static_cast<std::uint8_t>(WireErrorKind::kNone)) {
-    WireError e;
-    e.kind = kind > static_cast<std::uint8_t>(WireErrorKind::kDeadline)
-                 ? WireErrorKind::kGeneric
-                 : static_cast<WireErrorKind>(kind);
-    e.message = message;
+  if (e.kind != WireErrorKind::kNone) {
     try {
       throw_wire_error(e);
     } catch (...) {
       error = std::current_exception();
     }
   }
-  if (entry->done) {
+  complete(entry, std::move(output), timing, error);
+}
+
+void RemoteBackend::complete(Pending& entry, std::vector<float> output,
+                             const serve::RequestTiming& timing,
+                             std::exception_ptr error) {
+  if (entry.done) {
     // The DoneFn contract: exceptions escaping the callback are the
     // caller's bug; swallow them like the in-process workers do.
     try {
-      entry->done(error ? std::span<const float>{}
-                        : std::span<const float>(output),
-                  timing, error);
+      entry.done(error ? std::span<const float>{}
+                       : std::span<const float>(output),
+                 timing, error);
     } catch (...) {
     }
-    return;
-  }
-  if (error) {
-    entry->promise->set_exception(error);
+  } else if (error) {
+    entry.promise->set_exception(error);
   } else {
-    entry->promise->set_value(std::move(output));
+    entry.promise->set_value(std::move(output));
   }
 }
 
@@ -144,76 +145,78 @@ void RemoteBackend::fail_all(const std::string& reason) {
       Pending& e = *it->second;
       e.failed = true;
       e.fail_reason = reason;
-      if (e.is_submit && e.ack_handled && e.admitted &&
-          !e.result_delivered) {
-        // Admitted and in flight when the socket died: the exactly-once
-        // completion promise is honored with an IoError (NOT
-        // AbortedError -- the server may well have executed it, so a
-        // failover layer must not blind-retry; see the file comment).
-        e.result_delivered = true;
-        to_fail.push_back(it->second);
+      if (!e.ack_handled) {
+        ++it;  // its waiter wakes to `failed` and unregisters it
+        continue;
       }
-      // Entries with a parked waiter (ack or RPC) are erased by that
-      // waiter when it wakes to `failed`; fully-acked submits have no
-      // waiter left, so reap them here.
-      if (e.ack_handled) {
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
+      // An acked entry still registered is an admitted submit whose
+      // result has not come: a rejection or a delivered result
+      // unregisters it, and this runs on the reader, never mid-delivery.
+      // Its exactly-once completion is an IoError (NOT AbortedError --
+      // the server may well have executed it, so a failover layer must
+      // not blind-retry; see the file comment).
+      to_fail.push_back(it->second);
+      it = pending_.erase(it);
     }
     cv_.notify_all();
   }
-  for (auto& entry : to_fail) fail_admitted(*entry, reason);
-}
-
-void RemoteBackend::fail_admitted(Pending& entry, const std::string& reason) {
-  const auto error = std::make_exception_ptr(
-      IoError("radix-served connection lost: " + reason));
-  serve::RequestTiming timing;
-  if (entry.done) {
-    try {
-      entry.done({}, timing, error);
-    } catch (...) {
-    }
-  } else {
-    entry.promise->set_exception(error);
+  for (auto& entry : to_fail) {
+    complete(*entry, {}, {}, connection_lost(reason));
   }
 }
 
 // --- Request plumbing ------------------------------------------------------
 
-Frame RemoteBackend::rpc(MsgType type, std::span<const std::uint8_t> body,
-                         MsgType expected) const {
-  auto entry = std::make_shared<Pending>();
-  std::uint64_t correlation;
+std::optional<Frame> RemoteBackend::round_trip(
+    MsgType type, std::span<const std::uint8_t> body,
+    const std::shared_ptr<Pending>& entry) const {
   {
     std::scoped_lock lock(mutex_);
-    if (!connected_) throw IoError("radix-served connection lost");
-    correlation = next_correlation_++;
-    pending_.emplace(correlation, entry);
+    if (!connected_ || (entry->is_submit && !accepting_)) return std::nullopt;
+    entry->correlation = next_correlation_++;
+    pending_.emplace(entry->correlation, entry);
   }
   try {
     std::scoped_lock lock(send_mutex_);
-    write_all(fd_, encode_frame(type, correlation, body));
-  } catch (...) {
-    std::scoped_lock lock(mutex_);
-    pending_.erase(correlation);
-    throw;
+    write_all(fd_, encode_frame(type, entry->correlation, body));
+  } catch (const Error&) {
+    forget(entry->correlation);
+    return std::nullopt;
   }
   std::unique_lock lock(mutex_);
   cv_.wait(lock, [&] { return entry->resp.has_value() || entry->failed; });
-  pending_.erase(correlation);
   // The reader may store the response and then hit EOF (fail_all) before
   // this waiter wakes: a response that arrived is still the answer.
-  if (!entry->resp) {
+  std::optional<Frame> resp = std::exchange(entry->resp, std::nullopt);
+  if (!resp || !entry->is_submit) {
+    pending_.erase(entry->correlation);
+    cv_.notify_all();
+  }
+  if (!resp) {
     throw IoError("radix-served connection lost: " + entry->fail_reason);
   }
-  Frame resp = std::move(*entry->resp);
-  lock.unlock();
-  if (resp.type == MsgType::kError) throw_wire_error(decode_error_body(resp));
-  if (resp.type != expected) throw IoError("wire: unexpected response type");
   return resp;
+}
+
+void RemoteBackend::forget(std::uint64_t correlation) const {
+  std::scoped_lock lock(mutex_);
+  pending_.erase(correlation);
+  cv_.notify_all();
+}
+
+template <typename Write, typename Read>
+auto RemoteBackend::call(MsgType type, MsgType expected, Write write,
+                         Read read) const {
+  std::vector<std::uint8_t> body;
+  WireWriter w(body);
+  write(w);
+  const std::optional<Frame> resp =
+      round_trip(type, body, std::make_shared<Pending>());
+  if (!resp) throw IoError("radix-served connection lost");
+  WireReader r = reply_reader(*resp, expected);
+  auto out = read(r);
+  r.expect_end();
+  return out;
 }
 
 SubmitResult RemoteBackend::submit(serve::InferenceRequest req,
@@ -237,62 +240,36 @@ SubmitResult RemoteBackend::submit(serve::InferenceRequest req,
     fut = entry->promise->get_future();
   }
 
-  std::uint64_t correlation;
-  {
-    std::scoped_lock lock(mutex_);
-    if (!accepting_ || !connected_) return SubmitResult::rejected();
-    correlation = next_correlation_++;
-    pending_.emplace(correlation, entry);
-  }
+  const std::optional<Frame> ack = round_trip(MsgType::kSubmit, body, entry);
+  // Nothing reached the server: rejection as a value, no side effects
+  // -- matching the Backend admission contract.
+  if (!ack) return SubmitResult::rejected();
+  bool admitted = false;
+  serve::RequestId id = 0;
   try {
-    std::scoped_lock lock(send_mutex_);
-    write_all(fd_, encode_frame(MsgType::kSubmit, correlation, body));
-  } catch (const Error&) {
-    // Nothing reached the server: rejection as a value, no side
-    // effects -- matching the Backend admission contract.
-    std::scoped_lock lock(mutex_);
-    pending_.erase(correlation);
-    return SubmitResult::rejected();
+    WireReader r = reply_reader(*ack, MsgType::kSubmitAck);
+    admitted = r.u8() != 0;
+    id = r.u64();
+    r.expect_end();
+  } catch (...) {
+    forget(entry->correlation);
+    throw;
   }
 
   std::unique_lock lock(mutex_);
-  cv_.wait(lock, [&] { return entry->resp.has_value() || entry->failed; });
-  // As in rpc(): an ack that arrived is honoured even when the
-  // connection died right after it.
-  if (!entry->resp) {
-    pending_.erase(correlation);
-    cv_.notify_all();
-    throw IoError("radix-served connection lost: " + entry->fail_reason);
-  }
-  Frame resp = std::move(*entry->resp);
-  entry->resp.reset();
-  if (resp.type == MsgType::kError) {
-    pending_.erase(correlation);
-    cv_.notify_all();
-    lock.unlock();
-    throw_wire_error(decode_error_body(resp));
-  }
-  if (resp.type != MsgType::kSubmitAck) {
-    pending_.erase(correlation);
-    cv_.notify_all();
-    lock.unlock();
-    throw IoError("wire: unexpected ack type");
-  }
-  WireReader r(resp.body);
-  const bool admitted = r.u8() != 0;
-  const serve::RequestId id = r.u64();
   entry->ack_handled = true;
-  entry->admitted = admitted;
   // fail_all skipped this entry while its ack was unhandled, so an
   // admission whose result can no longer arrive completes here, once.
   const bool lost = admitted && entry->failed && !entry->result_delivered;
   if (lost) entry->result_delivered = true;
-  if (!admitted || entry->result_delivered) pending_.erase(correlation);
+  if (!admitted || entry->result_delivered) {
+    pending_.erase(entry->correlation);
+  }
   cv_.notify_all();
   lock.unlock();
 
   if (!admitted) return SubmitResult::rejected();
-  if (lost) fail_admitted(*entry, entry->fail_reason);
+  if (lost) complete(*entry, {}, {}, connection_lost(entry->fail_reason));
   if (entry->done) return SubmitResult::admitted_callback(id);
   return SubmitResult::admitted_future(std::move(fut), id);
 }
@@ -300,48 +277,30 @@ SubmitResult RemoteBackend::submit(serve::InferenceRequest req,
 // --- Backend observers -----------------------------------------------------
 
 serve::ServeStats RemoteBackend::stats(serve::ModelId model) const {
-  std::vector<std::uint8_t> body;
-  WireWriter w(body);
-  w.u64(model);
-  const Frame resp = rpc(MsgType::kStatsReq, body, MsgType::kStatsResp);
-  WireReader r(resp.body);
-  serve::ServeStats s = decode_stats(r);
-  r.expect_end();
-  return s;
+  return call(MsgType::kStatsReq, MsgType::kStatsResp,
+              [&](WireWriter& w) { w.u64(model); }, decode_stats);
 }
 
 std::size_t RemoteBackend::pending(serve::ModelId model) const {
-  std::vector<std::uint8_t> body;
-  WireWriter w(body);
-  w.u64(model);
-  const Frame resp = rpc(MsgType::kPendingReq, body, MsgType::kPendingResp);
-  WireReader r(resp.body);
-  const auto n = static_cast<std::size_t>(r.u64());
-  r.expect_end();
-  return n;
+  return call(MsgType::kPendingReq, MsgType::kPendingResp,
+              [&](WireWriter& w) { w.u64(model); }, read_u64);
 }
 
 std::size_t RemoteBackend::num_models() const {
-  const Frame resp = rpc(MsgType::kNumModelsReq, {}, MsgType::kNumModelsResp);
-  WireReader r(resp.body);
-  const auto n = static_cast<std::size_t>(r.u64());
-  r.expect_end();
-  return n;
+  return call(MsgType::kNumModelsReq, MsgType::kNumModelsResp, no_body,
+              read_u64);
 }
 
 std::optional<serve::ModelId> RemoteBackend::find_model(
     std::string_view name) const {
-  std::vector<std::uint8_t> body;
-  WireWriter w(body);
-  w.str(name);
-  const Frame resp =
-      rpc(MsgType::kFindModelReq, body, MsgType::kFindModelResp);
-  WireReader r(resp.body);
-  const bool found = r.u8() != 0;
-  const auto id = static_cast<serve::ModelId>(r.u64());
-  r.expect_end();
-  if (!found) return std::nullopt;
-  return id;
+  return call(MsgType::kFindModelReq, MsgType::kFindModelResp,
+              [&](WireWriter& w) { w.str(name); },
+              [](WireReader& r) -> std::optional<serve::ModelId> {
+                const bool found = r.u8() != 0;
+                const auto id = static_cast<serve::ModelId>(r.u64());
+                if (!found) return std::nullopt;
+                return id;
+              });
 }
 
 bool RemoteBackend::accepting() const {
@@ -374,93 +333,78 @@ void RemoteBackend::shutdown() {
 // --- Admin surface ---------------------------------------------------------
 
 void RemoteBackend::ping() const {
-  (void)rpc(MsgType::kPing, {}, MsgType::kPong);
+  (void)call(MsgType::kPing, MsgType::kPong, no_body, no_reply);
 }
 
 std::vector<WireModelInfo> RemoteBackend::list_models() const {
-  const Frame resp =
-      rpc(MsgType::kListModelsReq, {}, MsgType::kListModelsResp);
-  WireReader r(resp.body);
-  const std::uint32_t n = r.count(kModelInfoMinBytes);
-  std::vector<WireModelInfo> models;
-  models.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    models.push_back(decode_model_info(r));
-  }
-  r.expect_end();
-  return models;
+  return call(MsgType::kListModelsReq, MsgType::kListModelsResp, no_body,
+              [](WireReader& r) {
+                const std::uint32_t n = r.count(kModelInfoMinBytes);
+                std::vector<WireModelInfo> models;
+                models.reserve(n);
+                for (std::uint32_t i = 0; i < n; ++i) {
+                  models.push_back(decode_model_info(r));
+                }
+                return models;
+              });
 }
 
 serve::ServeStats RemoteBackend::class_stats(serve::Priority p) const {
-  std::vector<std::uint8_t> body;
-  WireWriter w(body);
-  w.u8(static_cast<std::uint8_t>(p));
-  const Frame resp =
-      rpc(MsgType::kClassStatsReq, body, MsgType::kClassStatsResp);
-  WireReader r(resp.body);
-  serve::ServeStats s = decode_stats(r);
-  r.expect_end();
-  return s;
+  return call(MsgType::kClassStatsReq, MsgType::kClassStatsResp,
+              [&](WireWriter& w) { w.u8(static_cast<std::uint8_t>(p)); },
+              decode_stats);
 }
 
 std::string RemoteBackend::metrics_text() const {
-  const Frame resp = rpc(MsgType::kMetricsReq, {}, MsgType::kMetricsResp);
-  WireReader r(resp.body);
-  std::string text = r.str();
-  r.expect_end();
-  return text;
+  return call(MsgType::kMetricsReq, MsgType::kMetricsResp, no_body,
+              [](WireReader& r) { return r.str(); });
 }
 
 std::uint64_t RemoteBackend::save_model(serve::ModelId id,
                                         const std::string& path) const {
-  std::vector<std::uint8_t> body;
-  WireWriter w(body);
-  w.u64(id);
-  w.str(path);
-  const Frame resp = rpc(MsgType::kSaveModelReq, body, MsgType::kSaveModelResp);
-  WireReader r(resp.body);
-  const std::uint64_t bytes = r.u64();
-  r.expect_end();
-  return bytes;
+  return call(MsgType::kSaveModelReq, MsgType::kSaveModelResp,
+              [&](WireWriter& w) {
+                w.u64(id);
+                w.str(path);
+              },
+              read_u64);
 }
 
 serve::ModelId RemoteBackend::load_model(const std::string& path,
                                          const std::string& name) const {
-  std::vector<std::uint8_t> body;
-  WireWriter w(body);
-  w.str(path);
-  w.str(name);
-  const Frame resp = rpc(MsgType::kLoadModelReq, body, MsgType::kLoadModelResp);
-  WireReader r(resp.body);
-  const auto id = static_cast<serve::ModelId>(r.u64());
-  r.expect_end();
-  return id;
+  return call(MsgType::kLoadModelReq, MsgType::kLoadModelResp,
+              [&](WireWriter& w) {
+                w.str(path);
+                w.str(name);
+              },
+              read_u64);
 }
 
 std::vector<serve::ShardHealth> RemoteBackend::shard_ctl(
     ShardVerb verb, std::size_t index) const {
-  std::vector<std::uint8_t> body;
-  WireWriter w(body);
-  w.u8(static_cast<std::uint8_t>(verb));
-  w.u64(index);
-  const Frame resp = rpc(MsgType::kShardCtlReq, body, MsgType::kShardCtlResp);
-  WireReader r(resp.body);
-  const std::uint32_t n = r.count(1);  // one u8 per shard
-  std::vector<serve::ShardHealth> health;
-  health.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint8_t h = r.u8();
-    if (h > static_cast<std::uint8_t>(serve::ShardHealth::kDown)) {
-      throw IoError("wire: bad shard health");
-    }
-    health.push_back(static_cast<serve::ShardHealth>(h));
-  }
-  r.expect_end();
-  return health;
+  return call(MsgType::kShardCtlReq, MsgType::kShardCtlResp,
+              [&](WireWriter& w) {
+                w.u8(static_cast<std::uint8_t>(verb));
+                w.u64(index);
+              },
+              [](WireReader& r) {
+                const std::uint32_t n = r.count(1);  // one u8 per shard
+                std::vector<serve::ShardHealth> health;
+                health.reserve(n);
+                constexpr auto kMax =
+                    static_cast<std::uint8_t>(serve::ShardHealth::kDown);
+                for (std::uint32_t i = 0; i < n; ++i) {
+                  const std::uint8_t h = r.u8();
+                  if (h > kMax) throw IoError("wire: bad shard health");
+                  health.push_back(static_cast<serve::ShardHealth>(h));
+                }
+                return health;
+              });
 }
 
 void RemoteBackend::server_shutdown() const {
-  (void)rpc(MsgType::kShutdownReq, {}, MsgType::kShutdownResp);
+  (void)call(MsgType::kShutdownReq, MsgType::kShutdownResp, no_body,
+             no_reply);
 }
 
 }  // namespace radix::net

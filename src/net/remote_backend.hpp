@@ -7,7 +7,12 @@
 //
 // One TCP connection carries every concurrent caller: submits and
 // admin calls are multiplexed by wire correlation ids (net/wire.hpp).
-// A dedicated READER thread demuxes incoming frames:
+// A dedicated READER thread demuxes incoming frames.  Every request,
+// submit or admin verb, is the same ONE round trip: register a
+// correlation, send, wait for the correlated response or the
+// connection's death (a response that arrived is the answer, even if
+// EOF followed it).  Every body is decoded to its last byte, so a
+// malformed one is an IoError, never a partial answer.
 //
 //   * submit() is a synchronous admission round-trip -- encode, send,
 //     wait for the kSubmitAck -- so its SubmitResult carries the
@@ -22,8 +27,10 @@
 //   * Connection loss fails every in-flight request with IoError -- NOT
 //     AbortedError: the socket dying cannot prove the server never
 //     executed the request, so a failover layer must not blind-retry.
-//     A response or ack that arrived before the loss still counts: an
-//     admitted submit whose result never came completes with IoError.
+//     An admitted submit whose result never came completes with
+//     IoError, exactly once.  A malformed kResult is a protocol error
+//     that stops the reader, so it counts as connection loss; a
+//     malformed ack or admin reply fails only its own call.
 //
 // shutdown() is LOCAL: it stops admission on this client, waits for
 // in-flight completions (drain -- the admitted-implies-completed
@@ -106,18 +113,27 @@ class RemoteBackend final : public serve::Backend {
  private:
   struct Pending;
 
-  /// Send `body` as `type` and block until the correlated response;
-  /// throws the decoded error for kError responses, IoError when the
-  /// connection died.
-  Frame rpc(MsgType type, std::span<const std::uint8_t> body,
-            MsgType expected) const;
+  /// The one round trip: register `entry`, send `body` as `type`, and
+  /// block until the correlated response or the connection's death
+  /// (IoError); nullopt if the frame never left.  Only a submit's entry
+  /// stays registered after a response, for its kResult.
+  std::optional<Frame> round_trip(MsgType type,
+                                  std::span<const std::uint8_t> body,
+                                  const std::shared_ptr<Pending>& entry) const;
+  void forget(std::uint64_t correlation) const;  // unregister, wake drain
+  /// An admin verb: `write` the request, `read` the `expected` reply.
+  template <typename Write, typename Read>
+  auto call(MsgType type, MsgType expected, Write write, Read read) const;
   void reader_loop();
   /// Fail every outstanding entry with `reason` (connection loss).
   void fail_all(const std::string& reason);
-  /// Complete an admitted submit whose result can no longer arrive with
-  /// the connection-lost IoError (never under mutex_: runs user code).
-  static void fail_admitted(Pending& entry, const std::string& reason);
-  void deliver_result(std::shared_ptr<Pending> entry, const Frame& frame);
+  /// Decode a kResult body (IoError if malformed), then complete `entry`.
+  static void deliver_result(Pending& entry, const Frame& frame);
+  /// Run a submit's DoneFn or fulfil its promise: once per entry, never
+  /// under mutex_ (it runs user code).
+  static void complete(Pending& entry, std::vector<float> output,
+                       const serve::RequestTiming& timing,
+                       std::exception_ptr error);
 
   Fd fd_;
   mutable std::mutex send_mutex_;  // serializes write_all on fd_

@@ -131,6 +131,23 @@ void Server::WakeState::invalidate() {
   fd = -1;
 }
 
+void Server::WakeState::post(Connection& conn, MsgType type,
+                             std::uint64_t correlation,
+                             std::span<const std::uint8_t> body) {
+  const auto frame = encode_frame(type, correlation, body);
+  {
+    std::scoped_lock lock(conn.m);
+    if (!conn.open) {
+      // The client disconnected mid-request: the frame is dropped here
+      // -- never written to a dead (or recycled) fd.
+      orphaned.fetch_add(1);
+      return;
+    }
+    conn.outbuf.insert(conn.outbuf.end(), frame.begin(), frame.end());
+  }
+  wake();
+}
+
 Server::Server(serve::Backend& backend, ServerOptions options)
     : backend_(backend), options_(std::move(options)) {
   auto [listener, port] = listen_tcp(options_.port);
@@ -183,7 +200,7 @@ void Server::stop() {
     stop_cv_.notify_all();
     job_cv_.notify_all();
   }
-  wake();
+  wake_state_->wake();
   std::scoped_lock stop_lock(stop_mutex_);
   if (loop_thread_.joinable()) loop_thread_.join();
   for (std::thread& t : pool_) {
@@ -215,8 +232,6 @@ std::uint64_t Server::connections_accepted() const noexcept {
 std::uint64_t Server::orphaned_responses() const noexcept {
   return wake_state_->orphaned.load();
 }
-
-void Server::wake() { wake_state_->wake(); }
 
 // --- Event loop ------------------------------------------------------------
 
@@ -406,8 +421,11 @@ void Server::pool_loop() {
     try {
       execute(job.conn, job.frame);
     } catch (...) {
-      enqueue_error(job.conn, job.frame.correlation,
-                    classify_error(std::current_exception()));
+      std::vector<std::uint8_t> body;
+      WireWriter w(body);
+      encode_error(w, classify_error(std::current_exception()));
+      wake_state_->post(*job.conn, MsgType::kError, job.frame.correlation,
+                        body);
     }
   }
 }
@@ -417,9 +435,12 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
   WireReader r(frame.body);
   std::vector<std::uint8_t> body;
   WireWriter w(body);
+  const auto reply = [&](MsgType type) {
+    wake_state_->post(*conn, type, frame.correlation, body);
+  };
   switch (frame.type) {
     case MsgType::kPing: {
-      enqueue_response(conn, MsgType::kPong, frame.correlation, frame.body);
+      wake_state_->post(*conn, MsgType::kPong, frame.correlation, frame.body);
       return;
     }
     case MsgType::kSubmit: {
@@ -430,21 +451,20 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
       const auto model = static_cast<serve::ModelId>(r.u64());
       r.expect_end();
       encode_stats(w, backend_.stats(model));
-      enqueue_response(conn, MsgType::kStatsResp, frame.correlation, body);
+      reply(MsgType::kStatsResp);
       return;
     }
     case MsgType::kPendingReq: {
       const auto model = static_cast<serve::ModelId>(r.u64());
       r.expect_end();
       w.u64(backend_.pending(model));
-      enqueue_response(conn, MsgType::kPendingResp, frame.correlation, body);
+      reply(MsgType::kPendingResp);
       return;
     }
     case MsgType::kNumModelsReq: {
       r.expect_end();
       w.u64(backend_.num_models());
-      enqueue_response(conn, MsgType::kNumModelsResp, frame.correlation,
-                       body);
+      reply(MsgType::kNumModelsResp);
       return;
     }
     case MsgType::kFindModelReq: {
@@ -453,7 +473,7 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
       const auto id = backend_.find_model(name);
       w.u8(id.has_value() ? 1 : 0);
       w.u64(id.value_or(0));
-      enqueue_response(conn, MsgType::kFindModelResp, frame.correlation, body);
+      reply(MsgType::kFindModelResp);
       return;
     }
     case MsgType::kListModelsReq: {
@@ -463,8 +483,7 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
       const auto models = options_.hooks.list_models();
       w.u32(static_cast<std::uint32_t>(models.size()));
       for (const WireModelInfo& m : models) encode_model_info(w, m);
-      enqueue_response(conn, MsgType::kListModelsResp, frame.correlation,
-                       body);
+      reply(MsgType::kListModelsResp);
       return;
     }
     case MsgType::kClassStatsReq: {
@@ -475,8 +494,7 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
                     "radix-served: class stats unsupported by this backend");
       encode_stats(w, options_.hooks.class_stats(
                           static_cast<serve::Priority>(p)));
-      enqueue_response(conn, MsgType::kClassStatsResp, frame.correlation,
-                       body);
+      reply(MsgType::kClassStatsResp);
       return;
     }
     case MsgType::kMetricsReq: {
@@ -484,7 +502,7 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
       RADIX_REQUIRE(static_cast<bool>(options_.hooks.metrics_text),
                     "radix-served: metrics unsupported by this backend");
       w.str(options_.hooks.metrics_text());
-      enqueue_response(conn, MsgType::kMetricsResp, frame.correlation, body);
+      reply(MsgType::kMetricsResp);
       return;
     }
     case MsgType::kShardCtlReq: {
@@ -502,7 +520,7 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
       for (const serve::ShardHealth h : health) {
         w.u8(static_cast<std::uint8_t>(h));
       }
-      enqueue_response(conn, MsgType::kShardCtlResp, frame.correlation, body);
+      reply(MsgType::kShardCtlResp);
       return;
     }
     case MsgType::kSaveModelReq: {
@@ -512,8 +530,7 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
       RADIX_REQUIRE(static_cast<bool>(options_.hooks.save_model),
                     "radix-served: model save unsupported by this backend");
       w.u64(options_.hooks.save_model(model, path));
-      enqueue_response(conn, MsgType::kSaveModelResp, frame.correlation,
-                       body);
+      reply(MsgType::kSaveModelResp);
       return;
     }
     case MsgType::kLoadModelReq: {
@@ -523,13 +540,12 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
       RADIX_REQUIRE(static_cast<bool>(options_.hooks.load_model),
                     "radix-served: model load unsupported by this backend");
       w.u64(options_.hooks.load_model(path, name));
-      enqueue_response(conn, MsgType::kLoadModelResp, frame.correlation,
-                       body);
+      reply(MsgType::kLoadModelResp);
       return;
     }
     case MsgType::kShutdownReq: {
       r.expect_end();
-      enqueue_response(conn, MsgType::kShutdownResp, frame.correlation, body);
+      reply(MsgType::kShutdownResp);
       // Flag + wake; the event loop flushes the response (bounded grace)
       // before it exits, and wait() unblocks the serving main.
       stopping_.store(true);
@@ -538,7 +554,7 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
         stop_cv_.notify_all();
         job_cv_.notify_all();
       }
-      wake();
+      wake_state_->wake();
       return;
     }
     default:
@@ -577,37 +593,22 @@ void Server::execute_submit(const std::shared_ptr<Connection>& conn,
     opts.timeout = std::min(opts.timeout, kMaxAdmissionWait);
   }
 
+  // The capsule holds the WakeState, not the Server: a completion that
+  // lands after the server is gone still posts (and counts) safely.
   const std::uint64_t correlation = frame.correlation;
-  std::shared_ptr<WakeState> wake_state = wake_state_;
-  opts.done = [conn, correlation, wake_state](
+  opts.done = [conn, correlation, wake_state = wake_state_](
                   std::span<const float> output,
                   const serve::RequestTiming& timing,
                   std::exception_ptr error) {
     std::vector<std::uint8_t> body;
     WireWriter w(body);
-    const WireError wire_error = classify_error(error);
-    w.u8(static_cast<std::uint8_t>(wire_error.kind));
-    w.str(wire_error.message);
+    encode_error(w, classify_error(error));
     w.f64(timing.queue_seconds);
     w.f64(timing.total_seconds);
     w.u32(static_cast<std::uint32_t>(timing.batch_rows));
     w.u64(timing.request_id);
     w.floats(error ? std::span<const float>{} : output);
-    const auto frame_bytes =
-        encode_frame(MsgType::kResult, correlation, body);
-    {
-      std::scoped_lock lock(conn->m);
-      if (!conn->open) {
-        // Client disconnected mid-request: the response is dropped
-        // here, with the capsule -- never written to a dead (or
-        // recycled) fd.
-        wake_state->orphaned.fetch_add(1);
-        return;
-      }
-      conn->outbuf.insert(conn->outbuf.end(), frame_bytes.begin(),
-                          frame_bytes.end());
-    }
-    wake_state->wake();
+    wake_state->post(*conn, MsgType::kResult, correlation, body);
   };
 
   serve::SubmitResult result =
@@ -621,32 +622,7 @@ void Server::execute_submit(const std::shared_ptr<Connection>& conn,
   WireWriter w(ack);
   w.u8(result.admitted() ? 1 : 0);
   w.u64(result.request_id());
-  enqueue_response(conn, MsgType::kSubmitAck, correlation, ack);
-}
-
-void Server::enqueue_response(const std::shared_ptr<Connection>& conn,
-                              MsgType type, std::uint64_t correlation,
-                              std::span<const std::uint8_t> body) {
-  const auto frame_bytes = encode_frame(type, correlation, body);
-  {
-    std::scoped_lock lock(conn->m);
-    if (!conn->open) {
-      wake_state_->orphaned.fetch_add(1);
-      return;
-    }
-    conn->outbuf.insert(conn->outbuf.end(), frame_bytes.begin(),
-                        frame_bytes.end());
-  }
-  wake();
-}
-
-void Server::enqueue_error(const std::shared_ptr<Connection>& conn,
-                           std::uint64_t correlation, const WireError& error) {
-  std::vector<std::uint8_t> body;
-  WireWriter w(body);
-  w.u8(static_cast<std::uint8_t>(error.kind));
-  w.str(error.message);
-  enqueue_response(conn, MsgType::kError, correlation, body);
+  wake_state_->post(*conn, MsgType::kSubmitAck, correlation, ack);
 }
 
 }  // namespace radix::net

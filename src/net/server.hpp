@@ -21,11 +21,12 @@
 //     the same pool -- a drain that takes seconds never stalls socket
 //     I/O.
 //   * COMPLETIONS arrive on backend worker threads: the DoneFn encodes
-//     the kResult frame, appends it to the connection's output queue
-//     under the connection mutex, and wakes the event loop through an
-//     eventfd.  A connection that disconnected mid-request flips to
-//     closed under that same mutex first, so late completions see the
-//     flag and drop the frame -- orphaned responses are dropped, never
+//     the kResult body and posts it like every other response -- one
+//     post appends a frame to the connection's output queue under the
+//     connection mutex and wakes the event loop through an eventfd.
+//     A connection that disconnected mid-request flips to closed
+//     under that same mutex first, so late completions see the flag
+//     and drop the frame -- orphaned responses are dropped, never
 //     written to a reused fd and never leaked (the capsule dies with
 //     the shared_ptr).
 //
@@ -155,15 +156,6 @@ class Server {
   void execute_submit(const std::shared_ptr<Connection>& conn,
                       const Frame& frame);
 
-  /// Append an encoded frame to the connection's output queue and wake
-  /// the event loop; drops (and counts) when the connection is closed.
-  void enqueue_response(const std::shared_ptr<Connection>& conn, MsgType type,
-                        std::uint64_t correlation,
-                        std::span<const std::uint8_t> body);
-  void enqueue_error(const std::shared_ptr<Connection>& conn,
-                     std::uint64_t correlation, const WireError& error);
-  void wake();
-
   // Shared with completion callbacks: a backend worker delivering a
   // result after the server object is gone (backend shut down late)
   // must still have somewhere safe to count the orphan and a guarded
@@ -174,6 +166,12 @@ class Server {
     std::atomic<std::uint64_t> orphaned{0};
     void wake();
     void invalidate();
+    /// The one way a frame reaches a connection: encode it, append it
+    /// to the output queue under the connection mutex and wake the
+    /// event loop -- or, when the connection is closed, drop it and
+    /// count it in `orphaned`.
+    void post(Connection& conn, MsgType type, std::uint64_t correlation,
+              std::span<const std::uint8_t> body);
   };
 
   serve::Backend& backend_;

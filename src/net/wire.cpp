@@ -164,8 +164,19 @@ serve::Log2Histogram decode_histogram(WireReader& r) {
   if (buckets != static_cast<std::uint32_t>(serve::Log2Histogram::kBuckets)) {
     throw IoError("wire: histogram bucket-grid mismatch");
   }
+  // The counts must sum to the count; checked here, without a sum that
+  // could wrap, so that a hostile body is an IoError like any other.
   std::array<std::uint64_t, serve::Log2Histogram::kBuckets> counts{};
-  for (auto& c : counts) c = r.u64();
+  std::uint64_t left = count;
+  bool over = false;
+  for (auto& c : counts) {
+    c = r.u64();
+    over = over || c > left;
+    if (!over) left -= c;
+  }
+  if (over || left != 0) {
+    throw IoError("wire: histogram bucket counts do not sum to its count");
+  }
   return serve::Log2Histogram::from_raw(base, counts, count, sum, max);
 }
 
@@ -247,14 +258,41 @@ WireError classify_error(std::exception_ptr error) {
   return e;
 }
 
+namespace {
+
+// Throw an E whose what() is the sender's what(), `message`: that
+// already starts with the prefix E's constructor adds, so pass the rest.
+template <typename E>
+[[noreturn]] void throw_as(const std::string& message) {
+  const std::string prefix = E("").what();
+  throw E(message.starts_with(prefix) ? message.substr(prefix.size())
+                                      : message);
+}
+
+}  // namespace
+
 void throw_wire_error(const WireError& e) {
   switch (e.kind) {
-    case WireErrorKind::kAborted: throw serve::AbortedError(e.message);
-    case WireErrorKind::kDeadline: throw serve::DeadlineExceededError(e.message);
+    case WireErrorKind::kAborted: throw_as<serve::AbortedError>(e.message);
+    case WireErrorKind::kDeadline:
+      throw_as<serve::DeadlineExceededError>(e.message);
     case WireErrorKind::kNone:
     case WireErrorKind::kGeneric: break;
   }
   throw Error(e.message);
+}
+
+void encode_error(WireWriter& w, const WireError& e) {
+  w.u8(static_cast<std::uint8_t>(e.kind));
+  w.str(e.message);
+}
+
+WireError decode_error(WireReader& r) {
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(WireErrorKind::kDeadline)) {
+    throw IoError("wire: bad error kind");
+  }
+  return {static_cast<WireErrorKind>(kind), r.str()};
 }
 
 }  // namespace radix::net

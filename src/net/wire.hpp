@@ -19,7 +19,11 @@
 // until a full frame is buffered (partial reads are normal on a
 // nonblocking socket), decodes it with bounds-checked readers, and
 // every malformed frame is a protocol error that closes the connection
-// -- never undefined behavior.
+// -- never undefined behavior.  Every body decoder, on both ends, ends
+// in WireReader::expect_end(): trailing bytes are as malformed as
+// missing ones.  A failure crosses as one (u8 kind, str message) pair,
+// written and read only by encode_error / decode_error; it is a kError
+// body and the head of a kResult body.
 //
 // Stability contract: MsgType values, enum encodings (Admission,
 // Priority, ShardHealth, the error kinds below) and field order are
@@ -81,8 +85,8 @@ enum class MsgType : std::uint8_t {
   kLoadModelResp = 28,
 };
 
-/// Body of a kResult frame's error arm (and the retryability signal a
-/// failover layer needs); wire-frozen values.
+/// Kind of the error pair, and the retryability signal a failover
+/// layer needs; wire-frozen values.
 enum class WireErrorKind : std::uint8_t {
   kNone = 0,
   kGeneric = 1,   ///< deterministic serving failure; do not retry
@@ -189,6 +193,7 @@ std::optional<Frame> try_parse_frame(std::vector<std::uint8_t>& buffer);
 // --- Serving-type codecs ---------------------------------------------------
 
 void encode_histogram(WireWriter& w, const serve::Log2Histogram& h);
+/// IoError on a foreign bucket grid or counts not summing to the count.
 serve::Log2Histogram decode_histogram(WireReader& r);
 
 /// Counters + the three raw histograms; decode_stats() finalizes, so
@@ -216,9 +221,10 @@ inline constexpr std::size_t kModelInfoMinBytes = 8 + 4 + 4 + 4 + 1 + 1 + 4 + 8;
 void encode_model_info(WireWriter& w, const WireModelInfo& m);
 WireModelInfo decode_model_info(WireReader& r);
 
-/// Map a completion exception onto the wire (kind, message); kNone for
+/// Map a completion exception onto the wire (kind, what()); kNone for
 /// success.  The inverse rebuilds the matching serve:: exception type
-/// so RemoteBackend callers catch exactly what in-process callers do.
+/// with the same what(), so RemoteBackend callers catch and read
+/// exactly what in-process callers do.
 struct WireError {
   WireErrorKind kind = WireErrorKind::kNone;
   std::string message;
@@ -226,5 +232,9 @@ struct WireError {
 
 WireError classify_error(std::exception_ptr error);
 [[noreturn]] void throw_wire_error(const WireError& e);
+
+/// The error pair; a kind past kDeadline is an IoError.
+void encode_error(WireWriter& w, const WireError& e);
+WireError decode_error(WireReader& r);
 
 }  // namespace radix::net

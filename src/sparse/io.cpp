@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -64,6 +66,14 @@ ParsedTsv parse_tsv(const std::string& path) {
     if (r < 1 || c < 1)
       throw IoError(path + ":" + std::to_string(lineno) +
                     ": indices must be 1-based positive");
+    // Checked before any cast: a double past index_t's range (or a
+    // fraction) would convert to some other, valid-looking index.
+    constexpr double kMaxIndex = std::numeric_limits<index_t>::max();
+    if (r != std::floor(r) || c != std::floor(c) || r > kMaxIndex ||
+        c > kMaxIndex)
+      throw IoError(path + ":" + std::to_string(lineno) +
+                    ": indices must be integers no larger than " +
+                    std::to_string(std::numeric_limits<index_t>::max()));
     triples.push_back({r, c, v});
     if (static_cast<index_t>(r) > max_r) {
       max_r = static_cast<index_t>(r);

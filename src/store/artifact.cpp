@@ -12,6 +12,7 @@
 #include "radixnet/builder.hpp"
 #include "radixnet/serialize.hpp"
 #include "store/checksum.hpp"
+#include "store/durable.hpp"
 
 namespace radix::store {
 
@@ -60,20 +61,9 @@ std::vector<std::uint8_t> encode_meta(const std::string& name, float clamp,
   throw IoError(what + " " + path + ": " + std::strerror(errno));
 }
 
-void fsync_parent_dir(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash + 1);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;  // best effort; the rename itself already landed
-  (void)::fsync(fd);
-  (void)::close(fd);
-}
-
-// Assemble the whole artifact in memory, then commit it with
-// write-to-temp + fsync + atomic rename so a crash mid-save never
-// leaves a torn file under the final name.
+// Assemble the whole artifact in memory, then commit it through
+// write_durably, so a crash mid-save never leaves a torn file under the
+// final name.
 void commit_artifact(const std::string& path, std::uint32_t flags,
                      const std::vector<Payload>& payloads) {
   const std::uint32_t nsec = static_cast<std::uint32_t>(payloads.size());
@@ -120,33 +110,7 @@ void commit_artifact(const std::string& path, std::uint32_t flags,
     append_bytes(file, payloads[i].data, payloads[i].size);
   }
 
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0) throw_errno("artifact: cannot create", tmp);
-  std::size_t written = 0;
-  while (written < file.size()) {
-    const ssize_t n = ::write(fd, file.data() + written,
-                              file.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      (void)::close(fd);
-      (void)::unlink(tmp.c_str());
-      throw_errno("artifact: write failed", tmp);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    (void)::close(fd);
-    (void)::unlink(tmp.c_str());
-    throw_errno("artifact: fsync failed", tmp);
-  }
-  (void)::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    (void)::unlink(tmp.c_str());
-    throw_errno("artifact: rename failed", path);
-  }
-  fsync_parent_dir(path);
+  write_durably(path, std::as_bytes(std::span(file)));
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // into a full-CSR artifact; save_spec_artifact writes the spec-only
 // variant (mixed-radix spec text + per-layer uniform weights) that
 // regenerates its topology through radixnet::builder on load.  Both
-// commit via write-to-temp + fsync + atomic rename.
+// assemble the whole file in memory and commit it through
+// write_durably (store/durable.hpp): temp file, fsync, atomic rename.
 //
 // ArtifactReader mmaps an artifact read-only and validates it eagerly
 // (magic, version, header hash, truncation, per-section checksums, CSR
@@ -28,7 +29,7 @@
 
 namespace radix::store {
 
-/// Serialize `dnn` as a full-CSR artifact at `path` (temp + rename).
+/// Serialize `dnn` as a full-CSR artifact at `path` (write_durably).
 void save_artifact(const std::string& path, const infer::SparseDnn& dnn,
                    const std::string& name);
 

@@ -1,13 +1,11 @@
 #include "store/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "store/durable.hpp"
 #include "support/error.hpp"
 
 namespace radix::store {
@@ -15,18 +13,6 @@ namespace radix::store {
 namespace {
 
 constexpr const char* kJournalHeader = "radix-journal v1";
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw IoError(what + ": " + std::strerror(errno));
-}
-
-void fsync_dir(const std::string& dir) {
-  // Best-effort: some filesystems refuse to fsync a directory fd.
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
 
 const char* op_name(JournalOp op) {
   switch (op) {
@@ -71,14 +57,14 @@ void check_field(const std::string& field, const std::string& what) {
 }  // namespace
 
 RegistryJournal::RegistryJournal(const std::string& store_dir)
-    : dir_(store_dir), path_(store_dir + "/journal") {
+    : path_(store_dir + "/journal") {
   std::ifstream in(path_);
   if (!in) {
     if (errno == ENOENT) {
       commit();  // create an empty committed journal
       return;
     }
-    throw_errno("journal: open " + path_);
+    throw IoError("journal: open " + path_ + ": " + std::strerror(errno));
   }
   std::string line;
   if (!std::getline(in, line) || line != kJournalHeader) {
@@ -171,40 +157,7 @@ void RegistryJournal::commit() const {
     text << '\n';
   }
   const std::string body = text.str();
-  const std::string tmp = path_ + ".tmp";
-
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) throw_errno("journal: create " + tmp);
-  const char* p = body.data();
-  std::size_t left = body.size();
-  while (left > 0) {
-    ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      int saved = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      errno = saved;
-      throw_errno("journal: write " + tmp);
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    int saved = errno;
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    errno = saved;
-    throw_errno("journal: fsync " + tmp);
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-    int saved = errno;
-    ::unlink(tmp.c_str());
-    errno = saved;
-    throw_errno("journal: rename " + tmp + " -> " + path_);
-  }
-  fsync_dir(dir_);
+  write_durably(path_, std::as_bytes(std::span(body)));
 }
 
 }  // namespace radix::store

@@ -15,10 +15,11 @@
 //     remove\t<model>
 //     tombstone\t<model>
 //
-// Commits are crash-safe: every mutation rewrites the full journal to
-// `journal.tmp`, fsyncs it, renames it over `journal`, and fsyncs the
-// directory, so a reader never observes a torn journal -- it sees
-// either the previous committed state or the new one.  The journal is
+// Commits are crash-safe: every mutation rewrites the full journal
+// through write_durably (store/durable.hpp) -- `journal.tmp`, fsync,
+// rename over `journal`, directory fsync -- so a reader never observes
+// a torn journal: it sees either the previous committed state or the
+// new one.  The journal is
 // intentionally an event log rather than a snapshot: replay() returns
 // the events in order and the caller folds them (last event per model
 // wins; remove/tombstone clear the entry), which keeps this layer free
@@ -60,7 +61,7 @@ class RegistryJournal {
   /// later remove/tombstone), in first-added order.
   std::vector<JournalEvent> live() const;
 
-  /// Append an event and durably commit (rewrite + fsync + rename).
+  /// Append an event and durably commit (rewrite via write_durably).
   void append(const JournalEvent& ev);
 
   const std::string& path() const noexcept { return path_; }
@@ -68,7 +69,6 @@ class RegistryJournal {
  private:
   void commit() const;
 
-  std::string dir_;
   std::string path_;
   std::vector<JournalEvent> events_;
 };

@@ -7,9 +7,11 @@
 // histogram grids included), admin verbs round-trip -- answered from
 // the router's registry, so they stay right while shard 0 is down --
 // a client that disconnects mid-request orphans its responses
-// (dropped and counted, never written to a dead socket), and a response
+// (dropped and counted, never written to a dead socket), a response
 // that lands just before the server closes the connection is still
-// the client's answer.
+// the client's answer, and a reply, ack, result or error body that is
+// malformed -- one trailing byte, an unknown error kind -- ends in
+// IoError.
 #include "net/server.hpp"
 
 #include <unistd.h>
@@ -18,10 +20,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <filesystem>
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -683,6 +687,131 @@ TEST(ServeNet, HostileReplyCountsThrowIoErrorBeforeReserving) {
   }
   RemoteBackend remote(peer.port());
   EXPECT_THROW((void)remote.shard_ctl(ShardVerb::kHealth), IoError);
+}
+
+/// A kSubmitAck body: admitted, with a request id.
+std::vector<std::uint8_t> admitted_ack() {
+  std::vector<std::uint8_t> body;
+  WireWriter w(body);
+  w.u8(1);
+  w.u64(1000);
+  return body;
+}
+
+/// A kResult body with error kind `kind` (0: success) and one row.
+std::vector<std::uint8_t> result_body(std::uint8_t kind) {
+  std::vector<std::uint8_t> body;
+  WireWriter w(body);
+  w.u8(kind);
+  w.str(kind == 0 ? "" : "failed");
+  w.f64(0.001);  // queue seconds
+  w.f64(0.002);  // total seconds
+  w.u32(1);      // batch rows
+  w.u64(1000);   // request id
+  w.floats(std::vector<float>(8, 0.5f));
+  return body;
+}
+
+/// An error pair body, as a kError frame carries it.
+std::vector<std::uint8_t> error_body(std::uint8_t kind) {
+  std::vector<std::uint8_t> body;
+  WireWriter w(body);
+  w.u8(kind);
+  w.str("boom");
+  return body;
+}
+
+/// Submit one row to the peer on `port` with a DoneFn that records
+/// every call; the submit must be admitted.  Returns the error of each
+/// completion once the client has shut down (its reader joined), so
+/// no completion can still be on its way.
+std::vector<std::exception_ptr> completions_of_one_submit(std::uint16_t port) {
+  std::mutex m;
+  std::vector<std::exception_ptr> calls;
+  {
+    RemoteBackend remote(port);
+    serve::SubmitOptions opts;
+    opts.done = [&](std::span<const float>, const serve::RequestTiming&,
+                    std::exception_ptr error) {
+      std::scoped_lock lock(m);
+      calls.push_back(error);
+    };
+    const std::vector<float> row(8, 1.0f);
+    EXPECT_TRUE(
+        remote.submit(serve::InferenceRequest::borrowed(0, row, 1), opts)
+            .admitted());
+  }
+  return calls;
+}
+
+bool is_io_error(const std::exception_ptr& error) {
+  if (!error) return false;
+  try {
+    std::rethrow_exception(error);
+  } catch (const IoError&) {
+    return true;
+  } catch (...) {
+  }
+  return false;
+}
+
+TEST(ServeNet, EveryReplyBodyIsDecodedToItsLastByte) {
+  // One trailing byte makes each of these bodies malformed, so each
+  // ends in IoError -- never in a partial answer.
+  const std::vector<float> row(8, 1.0f);
+  {
+    // An ack: submit() throws.
+    AnswerOnceThenClose peer(1, [](const Fd& fd, const Frame& f) {
+      auto ack = admitted_ack();
+      ack.push_back(0);
+      send_frame(fd, MsgType::kSubmitAck, f.correlation, ack);
+    });
+    RemoteBackend remote(peer.port());
+    EXPECT_THROW(
+        (void)remote.submit(serve::InferenceRequest::borrowed(0, row, 1)),
+        IoError);
+  }
+  {
+    // A result after a valid ack: the admitted request completes
+    // exactly once, with IoError.
+    AnswerOnceThenClose peer(1, [](const Fd& fd, const Frame& f) {
+      send_frame(fd, MsgType::kSubmitAck, f.correlation, admitted_ack());
+      auto result = result_body(0);
+      result.push_back(0);
+      send_frame(fd, MsgType::kResult, f.correlation, result);
+    });
+    const auto calls = completions_of_one_submit(peer.port());
+    ASSERT_EQ(calls.size(), 1u) << "an admitted submit completes once";
+    EXPECT_TRUE(is_io_error(calls[0]));
+  }
+  // A kError answering an admin call: the call throws IoError, not the
+  // error the body would have carried.
+  AnswerOnceThenClose peer(1, [](const Fd& fd, const Frame& f) {
+    auto body = error_body(static_cast<std::uint8_t>(WireErrorKind::kGeneric));
+    body.push_back(0);
+    send_frame(fd, MsgType::kError, f.correlation, body);
+  });
+  RemoteBackend remote(peer.port());
+  EXPECT_THROW(remote.ping(), IoError);
+}
+
+TEST(ServeNet, UnknownErrorKindIsIoErrorInErrorAndResult) {
+  // Kind 4 is past kDeadline.  A kError body carrying it and a kResult
+  // body headed by it follow one rule: IoError.
+  {
+    AnswerOnceThenClose peer(1, [](const Fd& fd, const Frame& f) {
+      send_frame(fd, MsgType::kError, f.correlation, error_body(4));
+    });
+    RemoteBackend remote(peer.port());
+    EXPECT_THROW(remote.ping(), IoError);
+  }
+  AnswerOnceThenClose peer(1, [](const Fd& fd, const Frame& f) {
+    send_frame(fd, MsgType::kSubmitAck, f.correlation, admitted_ack());
+    send_frame(fd, MsgType::kResult, f.correlation, result_body(4));
+  });
+  const auto calls = completions_of_one_submit(peer.port());
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_TRUE(is_io_error(calls[0]));
 }
 
 TEST(ServeNet, ShutdownVerbStopsTheServer) {

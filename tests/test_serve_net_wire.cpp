@@ -2,12 +2,15 @@
 // buffers, corrupt lengths), primitive round-trips, and the serving
 // type codecs -- in particular that a ServeStats survives the wire
 // EXACTLY (raw histogram grids included), so remote snapshots merge
-// bit-for-bit with local ones.
+// bit-for-bit with local ones, that hostile histogram counts are an
+// IoError, and that the error pair rebuilds each exception with its
+// type and its what().
 #include "net/wire.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <typeinfo>
 #include <vector>
 
 #include "serve/request.hpp"
@@ -219,6 +222,37 @@ TEST(Wire, FromRawRejectsInconsistentCount) {
                Error);
 }
 
+TEST(Wire, HostileHistogramCountsThrowIoError) {
+  // A body whose bucket counts do not sum to its count is malformed
+  // wire input: IoError, like a truncated one.
+  const auto body = [](std::uint64_t count,
+                       std::vector<std::uint64_t> buckets) {
+    buckets.resize(serve::Log2Histogram::kBuckets, 0);
+    std::vector<std::uint8_t> buf;
+    WireWriter w(buf);
+    w.f64(1e-6);  // base
+    w.u64(count);
+    w.f64(0.0);   // sum
+    w.f64(0.0);   // max
+    w.u32(static_cast<std::uint32_t>(buckets.size()));
+    for (const std::uint64_t c : buckets) w.u64(c);
+    return buf;
+  };
+  // Buckets summing to 1 under a count of 5 (from_raw would say
+  // SpecError), and buckets whose u64 sum wraps round to the count:
+  // 2 + (2^64 - 1) = 2^64 + 1.
+  for (const auto& hostile :
+       {body(5, {1}), body(1, {2, ~std::uint64_t{0}})}) {
+    WireReader r(hostile);
+    EXPECT_THROW((void)decode_histogram(r), IoError);
+  }
+  // The same layout with consistent counts decodes.
+  const auto fine = body(3, {1, 2});
+  WireReader r(fine);
+  EXPECT_EQ(decode_histogram(r).count(), 3u);
+  EXPECT_NO_THROW(r.expect_end());
+}
+
 TEST(Wire, ModelInfoRoundTrip) {
   WireModelInfo m;
   m.id = 3;
@@ -263,6 +297,38 @@ TEST(Wire, ErrorClassificationRoundTrip) {
   EXPECT_THROW(throw_wire_error({WireErrorKind::kDeadline, "late"}),
                serve::DeadlineExceededError);
   EXPECT_THROW(throw_wire_error({WireErrorKind::kGeneric, "boom"}), Error);
+
+  // Through the error pair and back, each kind comes out as the type
+  // it went in as, with the same what() -- the type prefix is not
+  // added twice.
+  const auto over_the_wire = [](const std::exception_ptr& error) {
+    std::vector<std::uint8_t> buf;
+    WireWriter w(buf);
+    encode_error(w, classify_error(error));
+    WireReader r(buf);
+    const WireError back = decode_error(r);
+    r.expect_end();
+    std::exception_ptr rebuilt;
+    try {
+      throw_wire_error(back);
+    } catch (...) {
+      rebuilt = std::current_exception();
+    }
+    return rebuilt;
+  };
+  const auto same_as_in_process = [&](const auto& ex) {
+    try {
+      std::rethrow_exception(over_the_wire(std::make_exception_ptr(ex)));
+    } catch (const std::exception& got) {
+      EXPECT_EQ(typeid(got), typeid(ex)) << ex.what();
+      EXPECT_STREQ(got.what(), ex.what());
+    }
+  };
+  same_as_in_process(
+      serve::AbortedError("engine aborted before the request was claimed"));
+  same_as_in_process(
+      serve::DeadlineExceededError("request shed under queue pressure"));
+  same_as_in_process(Error("boom"));
 }
 
 }  // namespace

@@ -192,6 +192,36 @@ TEST_F(SparseIoTest, OutOfShapeErrorNamesOffendingLine) {
   }
 }
 
+TEST_F(SparseIoTest, IndicesOutsideIndexRangeOrFractionalRejected) {
+  // Cast unchecked, each would load (or fail) as some other index:
+  // 2^32 + 1 wraps to row 1, 1.5 truncates to row 1, and 1e30 reaches
+  // Coo::push as a DimensionError.  All are IoErrors at their own line.
+  const struct {
+    const char* name;
+    const char* text;
+    int line;
+  } cases[] = {
+      {"wrap.tsv", "%%shape 4 4\n4294967297\t2\t1.5\n", 2},
+      {"fraction.tsv", "1.5\t2\t1.0\n", 1},
+      {"huge.tsv", "1\t1\t1.0\n1\t1e30\t1.0\n", 2},
+  };
+  for (const auto& c : cases) {
+    {
+      std::ofstream out(path(c.name));
+      out << c.text;
+    }
+    try {
+      read_tsv_f32(path(c.name));
+      ADD_FAILURE() << c.name << " must not load";
+    } catch (const IoError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path(c.name) + ":" + std::to_string(c.line)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST_F(SparseIoTest, LayerStackMetaShapeDisagreementThrows) {
   // An index file that disagrees with the layer files must throw, not
   // quietly deliver the wrong shapes.

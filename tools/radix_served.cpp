@@ -17,13 +17,17 @@
 // interactive class, the rest are batch class, so the per-class stats
 // verbs have something to show.
 //
-// With --store-dir <dir> the daemon is restartable warm: on first boot
-// it saves every default model as a RADIXART artifact into <dir> and
-// journals the registrations (store/journal.hpp); on any later boot it
-// replays the journal and mmaps the artifacts back instead of
-// rebuilding, so a kill -9 + restart serves the exact pre-crash model
-// set bit-identically.  Models registered at runtime through the
-// `radix-ctl load` verb are copied into the store and journaled too.
+// With --store-dir <dir> the daemon is restartable warm, and a
+// store-backed fleet is always served from the store.  The first boot
+// seeds an empty store: it saves every default model as a RADIXART
+// artifact into <dir> and journals the registration
+// (store/journal.hpp).  Then every boot, the first included, replays
+// the journal and mmaps the artifacts back, so a kill -9 + restart
+// serves the exact pre-crash model set bit-identically.  Models
+// registered at runtime through the `radix-ctl load` verb are saved
+// into the store the same way: the artifact is committed
+// (write_durably, store/durable.hpp) before the journal entry naming
+// it is appended.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -86,7 +90,7 @@ int main(int argc, char** argv) {
 
     const auto models = static_cast<std::size_t>(args.get_int("models"));
     const auto build_defaults = [&](auto&& place) {
-      // place(dnn, name, qos) for each default model; model-0 is
+      // place(dnn, name, priority) for each default model; model-0 is
       // interactive class, the rest batch, so the per-class stats verbs
       // have something to show.
       Rng rng(42);
@@ -96,75 +100,60 @@ int main(int argc, char** argv) {
       const auto dnn = std::make_shared<const infer::SparseDnn>(
           network.layers, network.bias, gc::kClamp);
       for (std::size_t i = 0; i < models; ++i) {
-        serve::QosPolicy qos;
-        qos.priority = i == 0 ? serve::Priority::kInteractive
-                              : serve::Priority::kBatch;
-        place(dnn, "model-" + std::to_string(i), qos);
+        place(dnn, "model-" + std::to_string(i),
+              i == 0 ? serve::Priority::kInteractive : serve::Priority::kBatch);
       }
     };
 
     const std::string store_dir = args.get("store-dir");
     std::unique_ptr<store::RegistryJournal> journal;
     std::mutex journal_mutex;  // hooks run on concurrent submit workers
+    // Commit a model's artifact into the store, then journal it.
+    const auto persist = [&](const std::shared_ptr<const infer::SparseDnn>& dnn,
+                             const std::string& n, serve::Priority priority) {
+      const std::string file = n + ".radixart";
+      store::save_artifact(store_dir + "/" + file, *dnn, n);
+      journal->append({store::JournalOp::kAdd, n, file,
+                       static_cast<std::uint8_t>(priority)});
+    };
     if (store_dir.empty()) {
       build_defaults([&](const auto& dnn, const std::string& n,
-                         serve::QosPolicy qos) {
-        router.add_model(dnn, n, qos);
+                         serve::Priority priority) {
+        router.add_model(dnn, n, {.priority = priority});
       });
     } else {
       std::filesystem::create_directories(store_dir);
       journal = std::make_unique<store::RegistryJournal>(store_dir);
-      const auto live = journal->live();
-      if (live.empty()) {
-        // Cold boot: seed the store -- save each default model as an
-        // artifact and journal the registration, so the NEXT boot is
-        // warm.
-        build_defaults([&](const auto& dnn, const std::string& n,
-                           serve::QosPolicy qos) {
-          router.add_model(dnn, n, qos);
-          const std::string file = n + ".radixart";
-          store::save_artifact(store_dir + "/" + file, *dnn, n);
-          journal->append({store::JournalOp::kAdd, n, file,
-                           static_cast<std::uint8_t>(qos.priority)});
-        });
+      const bool seed = journal->live().empty();
+      if (seed) {
+        build_defaults(persist);
         std::printf("radix-served: seeded store %s (%zu artifacts)\n",
                     store_dir.c_str(), models);
-      } else {
-        // Warm restart: mmap every live artifact back under its journaled
-        // name and class; no model is rebuilt.
-        for (const store::JournalEvent& ev : live) {
-          const std::string path =
-              !ev.artifact.empty() && ev.artifact.front() == '/'
-                  ? ev.artifact
-                  : store_dir + "/" + ev.artifact;
-          store::ArtifactReader reader(path);
-          auto dnn =
-              std::make_shared<const infer::SparseDnn>(reader.instantiate());
-          serve::QosPolicy qos;
-          qos.priority = static_cast<serve::Priority>(ev.priority);
-          router.add_model(std::move(dnn), ev.model, qos);
-        }
+      }
+      // Every boot: mmap every live artifact back under its journaled
+      // name and class; no model is rebuilt.
+      const auto live = journal->live();
+      for (const store::JournalEvent& ev : live) {
+        store::ArtifactReader reader(
+            (std::filesystem::path(store_dir) / ev.artifact).string());
+        router.add_model(
+            std::make_shared<const infer::SparseDnn>(reader.instantiate()),
+            ev.model, {.priority = static_cast<serve::Priority>(ev.priority)});
+      }
+      if (!seed) {
         std::printf("radix-served: warm restart from %s (%zu models)\n",
                     store_dir.c_str(), live.size());
       }
-      // Persist runtime loads: copy the artifact into the store under
-      // the registered name and journal it, so `radix-ctl load` survives
-      // a restart like the boot-time fleet does.
+      // Persist runtime loads like the seeded fleet, so `radix-ctl load`
+      // survives a restart: the registered model is saved under its name
+      // (a spec-only artifact is stored as full CSR) and journaled.
       const auto inner_load = hooks.load_model;
-      hooks.load_model = [&, inner_load](const std::string& path,
-                                         const std::string& name) {
+      hooks.load_model = [&, persist, inner_load](const std::string& path,
+                                                  const std::string& name) {
         const serve::ModelId id = inner_load(path, name);
         const auto entry = router.model_entry(id);
-        const std::string& n = entry.name;
-        const std::string file = n + ".radixart";
-        std::error_code ec;
-        std::filesystem::copy_file(
-            path, store_dir + "/" + file,
-            std::filesystem::copy_options::overwrite_existing, ec);
         std::scoped_lock lock(journal_mutex);
-        journal->append(
-            {store::JournalOp::kAdd, n, ec ? path : file,
-             static_cast<std::uint8_t>(entry.qos.priority)});
+        persist(entry.dnn, entry.name, entry.qos.priority);
         return id;
       };
     }
