@@ -41,6 +41,7 @@ SparseDnn::SparseDnn(SparseDnn&& other) noexcept
       clamp_(other.clamp_),
       layer_uniform_(std::move(other.layer_uniform_)),
       uniform_weight_(std::move(other.uniform_weight_)),
+      layouts_(std::move(other.layouts_)),
       transposed_(std::move(other.transposed_)) {}
 
 SparseDnn& SparseDnn::operator=(SparseDnn&& other) noexcept {
@@ -52,6 +53,7 @@ SparseDnn& SparseDnn::operator=(SparseDnn&& other) noexcept {
   clamp_ = other.clamp_;
   layer_uniform_ = std::move(other.layer_uniform_);
   uniform_weight_ = std::move(other.uniform_weight_);
+  layouts_ = std::move(other.layouts_);
   transposed_ = std::move(other.transposed_);
   return *this;
 }
@@ -67,6 +69,7 @@ void SparseDnn::validate_and_index() {
   transposed_.resize(views_.size());
   layer_uniform_.reserve(views_.size());
   uniform_weight_.reserve(views_.size());
+  layouts_.reserve(views_.size());
   for (const auto& l : views_) {
     const auto vals = l.values();
     const bool uniform =
@@ -75,6 +78,7 @@ void SparseDnn::validate_and_index() {
     layer_uniform_.push_back(uniform ? 1 : 0);
     uniform_weight_.push_back(uniform && !vals.empty() ? vals.front()
                                                        : 0.0f);
+    layouts_.push_back(uniform ? detect_radix_layout(l) : std::nullopt);
   }
 }
 
@@ -112,8 +116,11 @@ const Csr<float>& SparseDnn::transposed(std::size_t k) const {
 
 void SparseDnn::prewarm(const WorkspaceHint& hint) const {
   // Building via transposed() keeps the fill under the cache mutex, so
-  // prewarming may race concurrent forward calls safely.
-  for (std::size_t k = 0; k < views_.size(); ++k) (void)transposed(k);
+  // prewarming may race concurrent forward calls safely.  A layer with a
+  // layout gathers without one.
+  for (std::size_t k = 0; k < views_.size(); ++k) {
+    if (!layouts_[k]) (void)transposed(k);
+  }
   if (hint.workspace != nullptr) {
     hint.workspace->reserve(hint.max_batch, max_width(), max_input_width());
     // forward() reserves the dispatch trace lazily; doing it here keeps
@@ -163,15 +170,21 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
     }
     float* dst = workspace.panel(out_panel);
     if (layer_uniform_[k] != 0) {
-      nz = choice == Kernel::kScatter
-               ? spmm_dense_csr_fused_uniform(cur, batch, w.rows(), w,
-                                              uniform_weight_[k], dst,
-                                              biases_[k], clamp_)
-               : spmm_dense_csrT_fused_uniform(cur, batch, w.rows(),
-                                               transposed(k),
-                                               uniform_weight_[k], dst,
-                                               biases_[k], clamp_,
-                                               workspace.pack());
+      if (choice == Kernel::kScatter) {
+        nz = spmm_dense_csr_fused_uniform(cur, batch, w.rows(), w,
+                                          uniform_weight_[k], dst,
+                                          biases_[k], clamp_);
+      } else if (layouts_[k]) {
+        nz = spmm_dense_radix_fused_uniform(cur, batch, *layouts_[k],
+                                            uniform_weight_[k], dst,
+                                            biases_[k], clamp_);
+      } else {
+        nz = spmm_dense_csrT_fused_uniform(cur, batch, w.rows(),
+                                           transposed(k),
+                                           uniform_weight_[k], dst,
+                                           biases_[k], clamp_,
+                                           workspace.pack());
+      }
     } else {
       nz = choice == Kernel::kScatter
                ? spmm_dense_csr_fused(cur, batch, w.rows(), w, dst,

@@ -20,24 +20,33 @@
 //     skips a layer row's weights outright whenever the activation
 //     feeding it is zero (post-ReLU activations are mostly zero deep in
 //     a challenge stack);
-//   * denser inputs -> row-*gather* arm over a transposed copy of the
-//     layer (built lazily on first use, then cached), which streams the
-//     weights sequentially and accumulates each output in a register
-//     (four batch rows per vector register in blocks of 4 or 8 rows)
-//     instead of scattering read-modify-write traffic.
+//   * denser inputs -> row-*gather* arm, which accumulates each output
+//     in a register instead of scattering read-modify-write traffic.
+//     It takes one of two forms:
+//       - a uniform-weight RadiX-Net layer (outputs possibly relabeled,
+//         as gc::network's shuffle does) gets a RadixLayout at
+//         construction (sparse/radix_layout.hpp).  Its gather needs no
+//         weight arrays: within a wrap range every output reads its
+//         inputs at the same offsets, so the structured kernel adds four
+//         consecutive outputs per vector register;
+//       - every other layer gathers along a transposed copy (built
+//         lazily on first use, then cached), streaming the weights
+//         sequentially with four batch rows per vector register in
+//         blocks of 4 or 8 rows.
+//     Both forms stay bit-identical to the scatter arm.
 //
 // Activations live in a caller-provided InferenceWorkspace: two
 // ping-pong panels sized once to batch x max_layer_width, plus the
 // gather arm's pack panel (batch x widest layer input), so a forward
 // pass performs zero heap allocations in steady state (the first pass
 // may build transposed layers).  Layer 0 reads the caller's batch in
-// place; the only copies of activations are the gather arm's packs,
-// which re-lay each block of up to 8 input rows batch-interleaved so a
-// W^T entry costs one contiguous load and one packed add per four rows
-// (sparse/spmm.hpp).
+// place; the only copies of activations are the CSR gather form's
+// packs, which re-lay each block of up to 8 input rows
+// batch-interleaved so a W^T entry costs one contiguous load and one
+// packed add per four rows (sparse/spmm.hpp).
 // Concurrent forward calls on one SparseDnn instance are safe as long
 // as each caller brings its own workspace (the lazy transpose cache is
-// mutex-guarded).
+// mutex-guarded; layouts are immutable after construction).
 //
 // Layer storage
 // -------------
@@ -49,7 +58,9 @@
 // shared_ptr<const void> keep-alive that pins the backing memory for
 // the engine's lifetime.  Borrowed layers are never copied -- the fused
 // kernels stream the mapped arrays directly; only derived structures
-// (the lazy gather-arm transposes) are materialized on the heap.
+// are materialized on the heap: a layer's RadixLayout (O(width), built
+// at construction) or, for a layer without one, its lazy gather-arm
+// transpose (O(nnz)).
 // SparseDnn is move-only: views into owned layers stay valid across
 // moves (vector heap buffers are stable) but would dangle in a copy.
 //
@@ -60,12 +71,14 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "infer/workspace.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/csr_view.hpp"
+#include "sparse/radix_layout.hpp"
 
 namespace radix::infer {
 
@@ -84,6 +97,20 @@ namespace radix::infer {
 ///
 /// So 0.25 sits between the two crossovers: one-row batches would be
 /// served best by about 0.3-0.4, batched ones by about 0.05.
+///
+/// Those rows time the CSR gather form.  A uniform RadiX-Net layer,
+/// which every Graph-Challenge layer is, gathers through its RadixLayout
+/// instead.  Measured the same way on the same host (shuffled nets,
+/// medians of 11 calls, 3 runs at 1 thread and 2 at 4 threads), the
+/// structured gather/scatter ratio reaches 1 at:
+///
+///                batch 1      batch 8      batch 64
+///   1024 x 12    0.01-0.02    0.03-0.05    0.02-0.05
+///   4096 x 24    below 0.01   0.01-0.02    0.01-0.02
+///
+/// At 0.25 the structured gather takes 0.19-0.37x the scatter time.  The
+/// constant stays at 0.25: moving it changes which arm serves sparse
+/// traffic (serve-wire's), which needs its own measured pairs.
 inline constexpr double kGatherDensityThreshold = 0.25;
 
 /// What SparseDnn::prewarm should make ready ahead of the first
@@ -144,6 +171,12 @@ class SparseDnn {
   /// layers); uniform_weight(k) is that value.
   bool layer_uniform(std::size_t k) const { return layer_uniform_[k] != 0; }
   float uniform_weight(std::size_t k) const { return uniform_weight_[k]; }
+  /// Mixed-radix layout of layer k when it is a uniform-weight RadiX-Net
+  /// layer, whose gather arm then runs spmm_dense_radix_fused_uniform;
+  /// null for a layer whose gather arm runs over its CSR transpose.
+  const RadixLayout* layout(std::size_t k) const {
+    return layouts_[k] ? &*layouts_[k] : nullptr;
+  }
 
   /// Widest activation panel a forward pass writes: the max over layer
   /// output widths.  The input batch is read in place, never staged in
@@ -153,12 +186,13 @@ class SparseDnn {
 
   /// Pay every one-time cost up front so the *first* forward call is
   /// already in the zero-allocation steady state: eagerly builds the
-  /// lazily cached transposed layers (the gather arm's backing store,
-  /// shared by all workspaces), and, when the hint carries a workspace,
-  /// sizes its panels for hint.max_batch rows and reserves its dispatch
-  /// trace.  Serving engines call this from model registration so the
-  /// first request never pays construction latency; thread-safe like
-  /// forward.
+  /// lazily cached transposes of the layers without a layout (the CSR
+  /// gather form's backing store, shared by all workspaces), and, when
+  /// the hint carries a workspace, sizes its panels for hint.max_batch
+  /// rows and reserves its dispatch trace.  A net whose layers all have
+  /// a layout builds nothing without a workspace.  Serving engines call
+  /// this from model registration so the first request never pays
+  /// construction latency; thread-safe like forward.
   void prewarm(const WorkspaceHint& hint = {}) const;
 
   /// Zero-allocation forward: runs the full stack over the row-major
@@ -203,6 +237,9 @@ class SparseDnn {
   // load + multiply (spmm_dense_csr*_fused_uniform).
   std::vector<char> layer_uniform_;
   std::vector<float> uniform_weight_;
+  // Per layer, the RadixLayout of a uniform RadiX-Net layer; built at
+  // construction and immutable after it, so forwards read it unlocked.
+  std::vector<std::optional<RadixLayout>> layouts_;
   // Lazily built, cached transposes backing the gather arm; the mutex
   // serializes cache fills so concurrent forward calls on one instance
   // (each with its own workspace) stay safe.

@@ -4,9 +4,10 @@
 // floats: layer k reads one panel (or, for the first layer, the caller's
 // input batch directly) and writes the other, ping-ponging down the
 // stack.  A third panel of batch x widest-layer-input floats (layer 0's
-// input width included) is the gather arm's pack space: that kernel
-// copies each block of up to 8 input rows into it batch-interleaved
-// before streaming the layer (see spmm_dense_csrT_fused).
+// input width included) is the CSR gather form's pack space: that
+// kernel copies each block of up to 8 input rows into it
+// batch-interleaved before streaming the layer (see
+// spmm_dense_csrT_fused); the structured gather kernel needs none.
 // InferenceWorkspace owns all three and grows them monotonically, so a
 // caller that reuses one workspace across repeated forward calls of the
 // same shape performs zero heap allocations in steady state -- the
@@ -31,7 +32,8 @@ namespace radix::infer {
 enum class Kernel : std::uint8_t {
   kAuto,     ///< let the per-layer density heuristic decide
   kScatter,  ///< CSR scatter with zero-activation row skip
-  kGather,   ///< row-gather over the lazily transposed layer
+  kGather,   ///< row-gather: structured over the layer's RadixLayout,
+             ///< else over the lazily transposed layer
 };
 
 /// Per-layer record of the last forward pass's dispatch decisions.

@@ -272,6 +272,64 @@ std::uint64_t csrT_fused_impl(const float* x, index_t batch, index_t m,
       grain_for_cost(ops_per_tile));
 }
 
+// The structured gather kernel's outputs [c, c + 4Q) of wrap range k,
+// all in that range, on one batch row: Q 4-float accumulators, lane j
+// of acc[q] summing output c + 4q + j.  Input index i steps through the
+// range's ascending offsets (radix_layout.hpp): c - k*s up to c, then
+// c + N - (R-1)*s onward, each inside [0, N) for every output of the
+// range before it forms a pointer.
+template <int Q>
+std::uint64_t radix_vector_outputs(const float* xb, index_t c, index_t k,
+                                   const RadixLayout& l, float scale,
+                                   float* yb, float bias, float clamp) {
+  const index_t s = l.stride;
+  f32x4 acc[Q] = {};
+  index_t i = c - k * s;
+  for (index_t n = 0; n <= k; ++n, i += s) {
+    for (int q = 0; q < Q; ++q) acc[q] += load_f32x4(xb + i + 4 * q);
+  }
+  i = c + (l.width - (l.radix - 1) * s);
+  for (index_t n = k + 1; n < l.radix; ++n, i += s) {
+    for (int q = 0; q < Q; ++q) acc[q] += load_f32x4(xb + i + 4 * q);
+  }
+  i32x4 live = {};  // nonzero outputs per lane, at most Q
+  for (int q = 0; q < Q; ++q) {
+    const f32x4 v = epilogue(acc[q], scale, bias, clamp);
+    live -= v != f32x4{};  // a true lane compares as -1
+    for (int j = 0; j < 4; ++j) yb[l.store[c + 4 * q + j]] = v[j];
+  }
+  return static_cast<std::uint64_t>(live[0] + live[1] + live[2] + live[3]);
+}
+
+// One batch row of the structured gather kernel: each wrap range in
+// blocks of 16 outputs, then 4, then one at a time.
+std::uint64_t radix_row(const float* xb, const RadixLayout& l, float scale,
+                        float* yb, float bias, float clamp) {
+  const index_t s = l.stride;
+  std::uint64_t nz = 0;
+  for (index_t k = 0; k < l.radix; ++k) {
+    const index_t hi = k + 1 < l.radix ? (k + 1) * s : l.width;
+    index_t c = k * s;
+    for (; hi - c >= 16; c += 16) {
+      nz += radix_vector_outputs<4>(xb, c, k, l, scale, yb, bias, clamp);
+    }
+    for (; hi - c >= 4; c += 4) {
+      nz += radix_vector_outputs<1>(xb, c, k, l, scale, yb, bias, clamp);
+    }
+    for (; c < hi; ++c) {
+      float acc = 0.0f;
+      index_t i = c - k * s;
+      for (index_t n = 0; n <= k; ++n, i += s) acc += xb[i];
+      i = c + (l.width - (l.radix - 1) * s);
+      for (index_t n = k + 1; n < l.radix; ++n, i += s) acc += xb[i];
+      const float v = epilogue(acc, scale, bias, clamp);
+      yb[l.store[c]] = v;
+      nz += v != 0.0f ? 1 : 0;
+    }
+  }
+  return nz;
+}
+
 // Per-call pack space for the overloads that take none: batch x m
 // floats, left uninitialized (every block writes its slice before
 // reading it).  Batches of one row never pack, so they allocate nothing.
@@ -380,6 +438,35 @@ std::uint64_t spmm_dense_csrT_fused_uniform(const float* x, index_t batch,
   const auto pack = gather_pack(batch, m);
   return spmm_dense_csrT_fused_uniform(x, batch, m, wt, uniform_weight, y,
                                        bias, clamp, pack.get());
+}
+
+std::uint64_t spmm_dense_radix_fused_uniform(const float* x, index_t batch,
+                                             const RadixLayout& layout,
+                                             float uniform_weight, float* y,
+                                             float bias, float clamp) {
+  const std::size_t n = layout.width;
+  // Forks over tiles of kBatchTile rows, as the CSR arms do, so a batch
+  // that fits one tile runs on the calling thread.  Each row adds R
+  // inputs into each of N outputs.
+  const std::int64_t ntiles =
+      batch == 0 ? 0 : (batch + kBatchTile - 1) / kBatchTile;
+  const std::int64_t ops_per_tile = static_cast<std::int64_t>(kBatchTile) *
+                                    static_cast<std::int64_t>(n) *
+                                    (std::int64_t{layout.radix} + 1);
+  return parallel_reduce_sum<std::uint64_t>(
+      0, ntiles,
+      [&](std::int64_t t) -> std::uint64_t {
+        const index_t b0 = static_cast<index_t>(t) * kBatchTile;
+        const index_t b1 = std::min(batch, b0 + kBatchTile);
+        std::uint64_t nz = 0;
+        for (index_t b = b0; b < b1; ++b) {
+          const auto row = static_cast<std::size_t>(b) * n;
+          nz += radix_row(x + row, layout, uniform_weight, y + row, bias,
+                          clamp);
+        }
+        return nz;
+      },
+      grain_for_cost(ops_per_tile));
 }
 
 std::uint64_t count_nonzeros(const float* v, std::size_t n) {

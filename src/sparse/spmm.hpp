@@ -43,6 +43,7 @@
 
 #include "sparse/csr.hpp"
 #include "sparse/csr_view.hpp"
+#include "sparse/radix_layout.hpp"
 
 namespace radix {
 
@@ -115,6 +116,25 @@ std::uint64_t spmm_dense_csrT_fused_uniform(const float* x, index_t batch,
                                             index_t m, CsrFloatView wt,
                                             float uniform_weight, float* y,
                                             float bias, float clamp);
+
+/// Structured gather kernel for a uniform-weight mixed-radix layer
+/// (sparse/radix_layout.hpp): y[b x N] = epilogue(X[b x N] * W) for the
+/// layer whose layout is `layout`, reading no W arrays at all -- no
+/// transpose, no per-edge index.  Inside one wrap range every output
+/// reads its R inputs at the same offsets, so the kernel adds 4-float
+/// slices of the input row across 4 consecutive outputs (16 at a time
+/// in four accumulators; ranges or range tails shorter than 4 outputs
+/// go scalar) and stores each lane to y[b*N + layout.store[c]].  Each
+/// output sums from +0 in ascending input order, as the CSR arms do, so
+/// the result and the returned nonzero count are bit-identical to
+/// spmm_dense_csr_fused_uniform and spmm_dense_csrT_fused_uniform over
+/// the same layer (-0.0, NaN and Inf included).  Parallel over tiles of
+/// 8 batch rows, as the CSR arms are, so a batch of up to 8 rows never
+/// forks.  Needs no pack space.
+std::uint64_t spmm_dense_radix_fused_uniform(const float* x, index_t batch,
+                                             const RadixLayout& layout,
+                                             float uniform_weight, float* y,
+                                             float bias, float clamp);
 
 /// Number of nonzero entries of a dense float array (parallel reduction).
 std::uint64_t count_nonzeros(const float* v, std::size_t n);

@@ -339,10 +339,19 @@ TEST(SparseDnnFused, PrewarmMakesFirstForwardZeroAllocation) {
   // lazily built transposed layers.  prewarm(WorkspaceHint) pays all of
   // them up front, so even the *first* forward through the hinted
   // workspace is allocation-free -- the property the serving engine
-  // relies on at model registration.
+  // relies on at model registration.  Non-uniform weights keep every
+  // layer off the structured gather kernel, so the transposes are built.
   Rng rng(25);
-  const auto net = gc::network(1024, 4, &rng);
+  auto net = gc::network(1024, 4, &rng);
+  for (auto& l : net.layers) {
+    l = l.map<float>([&](float) {
+      return static_cast<float>(rng.uniform(0.03, 0.09));
+    });
+  }
   infer::SparseDnn dnn(net.layers, net.bias, gc::kClamp);
+  for (std::size_t k = 0; k < dnn.depth(); ++k) {
+    ASSERT_EQ(dnn.layout(k), nullptr) << "layer " << k;
+  }
   Rng irng(4);
   const index_t batch = 8;
   const auto x = gc::synthetic_input(batch, 1024, 0.4, irng);
@@ -378,6 +387,23 @@ TEST(SparseDnnFused, PrewarmMakesFirstForwardZeroAllocation) {
   (void)dnn.forward(x.data(), batch, ws);
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0u);
+}
+
+TEST(SparseDnnFused, PrewarmBuildsNothingForStructuredNet) {
+  // Every layer of a challenge net has a layout, so its gather arm needs
+  // no transpose and a prewarm without a workspace has nothing to build.
+  Rng rng(26);
+  const auto net = gc::network(1024, 4, &rng);
+  const infer::SparseDnn dnn(net.layers, net.bias, gc::kClamp);
+  for (std::size_t k = 0; k < dnn.depth(); ++k) {
+    ASSERT_NE(dnn.layout(k), nullptr) << "layer " << k;
+  }
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  dnn.prewarm();
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0u)
+      << "prewarm built a transpose for a structured layer";
 }
 
 TEST(SparseDnnFused, PackPanelCoversWidestLayerInput) {

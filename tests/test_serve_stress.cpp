@@ -120,7 +120,20 @@ TEST(ServeStress, ManyClientsOneEngineBitExact) {
 }
 
 TEST(ServeStress, SharedSparseDnnPerThreadWorkspaces) {
-  const auto dnn = make_dnn(1024, 4, 43);
+  // The challenge topology with non-uniform weights: no layer gets a
+  // layout, so every gather goes through the lazy transpose cache.
+  Rng rng(43);
+  auto net = gc::network(1024, 4, &rng);
+  for (auto& l : net.layers) {
+    l = l.map<float>([&](float) {
+      return static_cast<float>(rng.uniform(0.03, 0.09));
+    });
+  }
+  const auto dnn =
+      std::make_shared<infer::SparseDnn>(net.layers, net.bias, gc::kClamp);
+  for (std::size_t k = 0; k < dnn->depth(); ++k) {
+    ASSERT_EQ(dnn->layout(k), nullptr) << "layer " << k;
+  }
   Rng irng(6);
   const index_t rows = 4;
   const auto x = gc::synthetic_input(rows, 1024, 0.4, irng);
