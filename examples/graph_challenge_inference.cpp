@@ -88,10 +88,12 @@ int main(int argc, char** argv) {
   std::printf("\nadaptive dispatch (density -> kernel):\n");
   const auto& trace = ws.last_dispatch();
   for (std::size_t k = 0; k < trace.size(); ++k) {
+    const char* arm = trace[k].skipped ? "skip"
+                      : trace[k].chosen == infer::Kernel::kScatter
+                          ? "scatter"
+                          : "gather";
     std::printf("  layer %2zu: density %.3f -> %s\n", k,
-                trace[k].input_density,
-                trace[k].chosen == infer::Kernel::kScatter ? "scatter"
-                                                           : "gather");
+                trace[k].input_density, arm);
   }
   return 0;
 }

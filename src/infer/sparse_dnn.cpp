@@ -99,9 +99,13 @@ index_t SparseDnn::max_width() const noexcept {
   return w;
 }
 
-index_t SparseDnn::max_input_width() const noexcept {
+index_t SparseDnn::pack_width() const noexcept {
+  // Only the CSR gather form packs; a layer with a layout gathers from
+  // its input rows in place.
   index_t w = 0;
-  for (const auto& l : views_) w = std::max(w, l.rows());
+  for (std::size_t k = 0; k < views_.size(); ++k) {
+    if (!layouts_[k]) w = std::max(w, views_[k].rows());
+  }
   return w;
 }
 
@@ -122,7 +126,7 @@ void SparseDnn::prewarm(const WorkspaceHint& hint) const {
     if (!layouts_[k]) (void)transposed(k);
   }
   if (hint.workspace != nullptr) {
-    hint.workspace->reserve(hint.max_batch, max_width(), max_input_width());
+    hint.workspace->reserve(hint.max_batch, max_width(), pack_width());
     // forward() reserves the dispatch trace lazily; doing it here keeps
     // the first post-prewarm pass allocation-free.
     if (hint.workspace->dispatch_.capacity() < views_.size()) {
@@ -142,7 +146,7 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
   RADIX_REQUIRE(!workspace.owns(input),
                 "SparseDnn::forward: input must not alias the workspace "
                 "panels");
-  workspace.reserve(batch, max_width(), max_input_width());
+  workspace.reserve(batch, max_width(), pack_width());
   workspace.dispatch_.clear();
   if (workspace.dispatch_.capacity() < views_.size()) {
     workspace.dispatch_.reserve(views_.size());
@@ -164,12 +168,29 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
                            static_cast<double>(in_elems)
                      : 0.0;
     Kernel choice = workspace.forced_;
-    if (choice == Kernel::kAuto) {
-      choice = density <= kGatherDensityThreshold ? Kernel::kScatter
-                                                  : Kernel::kGather;
+    const bool automatic = choice == Kernel::kAuto;
+    if (automatic) {
+      const double threshold = layouts_[k] ? kStructuredGatherDensityThreshold
+                                           : kGatherDensityThreshold;
+      choice = density <= threshold ? Kernel::kScatter : Kernel::kGather;
     }
     float* dst = workspace.panel(out_panel);
-    if (layer_uniform_[k] != 0) {
+    const bool skipped = automatic && nz == 0;
+    if (skipped) {
+      // An all-zero input batch: every arm outputs the epilogue of +0
+      // (spmm_fused_zero_input_output), so run none.  A +-0 fill leaves
+      // the next layer's count at 0, and that layer skips without
+      // reading the panel; so write it only when something reads it.
+      const std::size_t out_elems =
+          static_cast<std::size_t>(batch) * w.cols();
+      const float fill = spmm_fused_zero_input_output(
+          layer_uniform_[k] != 0 ? uniform_weight_[k] : 1.0f, biases_[k],
+          clamp_);
+      nz = fill != 0.0f ? out_elems : 0;
+      if (nz != 0 || k + 1 == views_.size()) {
+        std::fill_n(dst, out_elems, fill);
+      }
+    } else if (layer_uniform_[k] != 0) {
       if (choice == Kernel::kScatter) {
         nz = spmm_dense_csr_fused_uniform(cur, batch, w.rows(), w,
                                           uniform_weight_[k], dst,
@@ -193,7 +214,7 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
                                        dst, biases_[k], clamp_,
                                        workspace.pack());
     }
-    workspace.dispatch_.push_back({choice, density, nz});
+    workspace.dispatch_.push_back({choice, density, nz, skipped});
     cur = dst;
     out_panel ^= 1;
   }

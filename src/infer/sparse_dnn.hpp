@@ -16,10 +16,21 @@
 // as a free byproduct.  That count drives the adaptive dispatch for the
 // next layer:
 //
-//   * density <= kGatherDensityThreshold -> CSR *scatter* arm, which
+//   * a count of 0 (the whole input batch is zero, as it is once every
+//     row has died under the challenge's negative bias) -> no kernel.
+//     Every arm outputs the epilogue of +0 there
+//     (spmm_fused_zero_input_output), so the layer takes that value
+//     without reading a weight.  It writes the value to its output panel
+//     only when something reads it: the last layer's caller, or the next
+//     layer's kernel when the value is nonzero (a positive bias revives
+//     the rows).  A +-0 value leaves the next count at 0, so that layer
+//     skips too;
+//   * density <= the layer's threshold -> CSR *scatter* arm, which
 //     skips a layer row's weights outright whenever the activation
 //     feeding it is zero (post-ReLU activations are mostly zero deep in
-//     a challenge stack);
+//     a challenge stack).  The threshold is
+//     kStructuredGatherDensityThreshold for a layer with a RadixLayout
+//     and kGatherDensityThreshold for any other;
 //   * denser inputs -> row-*gather* arm, which accumulates each output
 //     in a register instead of scattering read-modify-write traffic.
 //     It takes one of two forms:
@@ -35,11 +46,16 @@
 //         blocks of 4 or 8 rows.
 //     Both forms stay bit-identical to the scatter arm.
 //
+// The skip is part of the automatic dispatch: a workspace pinned to one
+// arm (InferenceWorkspace::force_kernel) runs that arm's kernel on every
+// layer, which lets tests hold the skip against both arms.
+//
 // Activations live in a caller-provided InferenceWorkspace: two
-// ping-pong panels sized once to batch x max_layer_width, plus the
-// gather arm's pack panel (batch x widest layer input), so a forward
-// pass performs zero heap allocations in steady state (the first pass
-// may build transposed layers).  Layer 0 reads the caller's batch in
+// ping-pong panels sized once to batch x max_layer_width, plus the CSR
+// gather form's pack panel (batch x widest input of a layer without a
+// layout; empty when every layer has one), so a forward pass performs
+// zero heap allocations in steady state (the first pass may build
+// transposed layers).  Layer 0 reads the caller's batch in
 // place; the only copies of activations are the CSR gather form's
 // packs, which re-lay each block of up to 8 input rows
 // batch-interleaved so a W^T entry costs one contiguous load and one
@@ -82,10 +98,11 @@
 
 namespace radix::infer {
 
-/// Activation-density crossover of the adaptive dispatch.  Below it the
-/// scatter arm's zero-activation row skip saves more weight traffic than
-/// the gather arm's sequential streaming recovers; above it the gather
-/// arm wins.  Re-measured on a 4-core Xeon with the gather arm's
+/// Activation-density crossover of the adaptive dispatch for a layer
+/// without a RadixLayout, whose gather arm runs the CSR gather form.
+/// Below it the scatter arm's zero-activation row skip saves more weight
+/// traffic than the gather arm's sequential streaming recovers; above it
+/// the gather arm wins.  Re-measured on a 4-core Xeon with the gather arm's
 /// 4-float vector blocks: each layer of a Graph-Challenge net run alone
 /// with each arm forced at a set input density, times summed over the
 /// net.  The gather/scatter time ratio reaches 1 at these input
@@ -97,21 +114,36 @@ namespace radix::infer {
 ///
 /// So 0.25 sits between the two crossovers: one-row batches would be
 /// served best by about 0.3-0.4, batched ones by about 0.05.
-///
-/// Those rows time the CSR gather form.  A uniform RadiX-Net layer,
-/// which every Graph-Challenge layer is, gathers through its RadixLayout
-/// instead.  Measured the same way on the same host (shuffled nets,
-/// medians of 11 calls, 3 runs at 1 thread and 2 at 4 threads), the
-/// structured gather/scatter ratio reaches 1 at:
+inline constexpr double kGatherDensityThreshold = 0.25;
+
+/// Crossover for a layer with a RadixLayout, which every
+/// Graph-Challenge layer has: its gather arm runs the structured kernel.
+/// Measured as above on the same host (shuffled nets, medians of 11
+/// calls, 3 runs at 1 thread and 2 at 4 threads), the structured
+/// gather/scatter ratio reaches 1 at:
 ///
 ///                batch 1      batch 8      batch 64
 ///   1024 x 12    0.01-0.02    0.03-0.05    0.02-0.05
 ///   4096 x 24    below 0.01   0.01-0.02    0.01-0.02
 ///
-/// At 0.25 the structured gather takes 0.19-0.37x the scatter time.  The
-/// constant stays at 0.25: moving it changes which arm serves sparse
-/// traffic (serve-wire's), which needs its own measured pairs.
-inline constexpr double kGatherDensityThreshold = 0.25;
+/// At 0.25 the structured gather takes 0.19-0.37x the scatter time.
+/// At serving batch sizes the same probe gave these structured
+/// gather/scatter time ratios (the 1024 rows cover the unshuffled and
+/// the shuffled net; 3 runs at 4 threads and 2 at 1 thread, which read
+/// alike):
+///
+///                  density   batch 1     batch 2     batch 4     batch 8
+///   1024 x 12      0.02      0.79-0.89   0.82-1.02   0.94-1.14   0.98-1.21
+///                  0.05      0.59-0.70   0.63-0.74   0.67-0.83   0.75-0.93
+///                  0.10      0.45-0.51   0.46-0.58   0.51-0.63   0.51-0.67
+///   4096 x 24      0.02      0.63-0.69   0.64-0.79   0.74-0.84   0.76-0.98
+///                  0.05      0.45-0.55   0.50-0.60   0.54-0.66   0.56-0.72
+///                  0.10      0.35-0.41   0.36-0.47   0.36-0.46   0.36-0.47
+///
+/// So at 0.05 the structured gather was faster in every case measured,
+/// while at 0.02 a batched 1024-wide layer was not.  Requests at input
+/// density 0.1 (serve-wire's) gather their live layers.
+inline constexpr double kStructuredGatherDensityThreshold = 0.05;
 
 /// What SparseDnn::prewarm should make ready ahead of the first
 /// forward call (see prewarm below).
@@ -126,7 +158,8 @@ struct WorkspaceHint {
 
 struct InferenceStats {
   double wall_seconds = 0.0;
-  std::uint64_t edges_processed = 0;  // batch * total nnz
+  // batch * total nnz, skipped layers included: the challenge's count.
+  std::uint64_t edges_processed = 0;
   double edges_per_second = 0.0;
   std::uint64_t nonzero_outputs = 0;  // nnz of the final activation
 };
@@ -181,7 +214,7 @@ class SparseDnn {
   /// Widest activation panel a forward pass writes: the max over layer
   /// output widths.  The input batch is read in place, never staged in
   /// an activation panel, so the input width does not participate (it
-  /// does size the gather arm's pack panel).
+  /// does size the pack panel when layer 0 has no layout).
   index_t max_width() const noexcept;
 
   /// Pay every one-time cost up front so the *first* forward call is
@@ -220,9 +253,10 @@ class SparseDnn {
  private:
   void validate_and_index();
   const Csr<float>& transposed(std::size_t k) const;
-  /// Widest layer input (layer 0's input width included): the width of
-  /// the gather arm's pack panel.
-  index_t max_input_width() const noexcept;
+  /// Widest input of a layer without a layout (layer 0's included): the
+  /// width of the CSR gather form's pack panel, 0 when every layer has a
+  /// layout.
+  index_t pack_width() const noexcept;
 
   // Owned layers (empty when borrowing); views_ is the single source of
   // truth the hot path iterates -- one view per layer, pointing either

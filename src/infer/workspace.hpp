@@ -3,20 +3,22 @@
 // A forward pass needs two activation panels of batch x max_layer_width
 // floats: layer k reads one panel (or, for the first layer, the caller's
 // input batch directly) and writes the other, ping-ponging down the
-// stack.  A third panel of batch x widest-layer-input floats (layer 0's
-// input width included) is the CSR gather form's pack space: that
-// kernel copies each block of up to 8 input rows into it
-// batch-interleaved before streaming the layer (see
-// spmm_dense_csrT_fused); the structured gather kernel needs none.
+// stack.  A third panel, of batch x the widest input of a layer without
+// a RadixLayout (layer 0's input width included), is the CSR gather
+// form's pack space: that kernel copies each block of up to 8 input
+// rows into it batch-interleaved before streaming the layer (see
+// spmm_dense_csrT_fused).  The structured gather kernel needs none, so
+// a net whose layers all have a layout leaves it empty.
 // InferenceWorkspace owns all three and grows them monotonically, so a
 // caller that reuses one workspace across repeated forward calls of the
 // same shape performs zero heap allocations in steady state -- the
 // property the Graph-Challenge edges/second metric rewards.
 //
 // The workspace also records, per layer of the last forward pass, which
-// kernel the adaptive dispatch chose and the activation density that
-// drove the choice (see sparse_dnn.hpp for the dispatch policy), and
-// lets tests pin the dispatch to one arm.
+// kernel the adaptive dispatch chose, the activation density that drove
+// the choice and whether the layer ran no kernel at all (see
+// sparse_dnn.hpp for the dispatch policy), and lets tests pin the
+// dispatch to one arm.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +43,12 @@ struct LayerDispatch {
   Kernel chosen = Kernel::kAuto;   ///< kScatter or kGather after a pass
   double input_density = 0.0;      ///< nonzero fraction of the layer input
   std::uint64_t nonzero_outputs = 0;  ///< epilogue byproduct
+  /// True when the layer ran no kernel: under automatic dispatch, its
+  /// whole input batch was zero, and it took the one value every arm
+  /// outputs there (spmm_fused_zero_input_output).  `chosen` still names
+  /// the arm the density rule picks, kScatter at density 0, and a
+  /// forced arm never skips.
+  bool skipped = false;
 };
 
 class InferenceWorkspace {
@@ -48,15 +56,15 @@ class InferenceWorkspace {
   InferenceWorkspace() = default;
 
   /// Ensure capacity for two batch x max_width activation panels and a
-  /// batch x max_input_width pack panel.  Growth-only: shrinking
-  /// requests keep the larger buffers, so alternating shapes never
-  /// thrash the allocator.
-  void reserve(index_t batch, index_t max_width, index_t max_input_width);
+  /// batch x pack_width pack panel.  Growth-only: shrinking requests
+  /// keep the larger buffers, so alternating shapes never thrash the
+  /// allocator.
+  void reserve(index_t batch, index_t max_width, index_t pack_width);
 
   /// Floats per activation panel currently allocated.
   std::size_t capacity() const noexcept { return buf_[0].size(); }
 
-  /// Floats in the gather arm's pack panel currently allocated.
+  /// Floats in the CSR gather form's pack panel currently allocated.
   std::size_t pack_capacity() const noexcept { return pack_size_; }
 
   /// Pin every layer to one kernel arm (tests / benchmarking); kAuto

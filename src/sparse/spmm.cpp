@@ -469,6 +469,11 @@ std::uint64_t spmm_dense_radix_fused_uniform(const float* x, index_t batch,
       grain_for_cost(ops_per_tile));
 }
 
+// Placed after the kernels, so it shifts none of their code.
+float spmm_fused_zero_input_output(float scale, float bias, float clamp) {
+  return epilogue(0.0f, scale, bias, clamp);
+}
+
 std::uint64_t count_nonzeros(const float* v, std::size_t n) {
   return parallel_reduce_sum<std::uint64_t>(
       0, static_cast<std::int64_t>(n),

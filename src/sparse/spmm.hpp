@@ -136,6 +136,19 @@ std::uint64_t spmm_dense_radix_fused_uniform(const float* x, index_t batch,
                                              float uniform_weight, float* y,
                                              float bias, float clamp);
 
+/// The value the fused scatter kernels above write to every output of a
+/// batch whose inputs are all zero (-0.0 counts as zero, NaN does not):
+/// they zero-fill, skip every zero activation and apply the epilogue to
+/// +0, so each output is min(clamp, max(0, +0 * scale + bias)), computed
+/// here by the kernels' own epilogue.  `scale` is the layer's uniform
+/// weight for the *_uniform kernels and 1.0f for the general ones.  The
+/// gather kernels give the same bits, except on a general layer with a
+/// non-finite weight, where their 0 x Inf is NaN.  The value may be -0.0
+/// (a negative scale and bias -0.0), NaN (a non-finite uniform weight)
+/// or positive (a positive bias); a caller counting nonzero outputs
+/// counts all of a batch's outputs or none.
+float spmm_fused_zero_input_output(float scale, float bias, float clamp);
+
 /// Number of nonzero entries of a dense float array (parallel reduction).
 std::uint64_t count_nonzeros(const float* v, std::size_t n);
 

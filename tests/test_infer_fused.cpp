@@ -1,9 +1,10 @@
 // Property tests for the fused, zero-allocation inference path: both
 // adaptive-dispatch arms (scatter / gather), forced and automatic, must
 // be bit-exact against a straight-line reference over randomized
-// RadiX-Net stacks, batches, biases and clamp values -- and repeated
-// forward calls through one InferenceWorkspace must perform zero heap
-// allocations.
+// RadiX-Net stacks, batches, biases and clamp values -- automatic
+// dispatch included, which runs no kernel on a layer whose input batch
+// is all zero -- and repeated forward calls through one
+// InferenceWorkspace must perform zero heap allocations.
 #include "infer/sparse_dnn.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 // The replacement operator new below is malloc-backed, so pairing it
@@ -161,26 +163,48 @@ void expect_bit_exact(std::span<const float> got,
   }
 }
 
-// Run both forced arms and auto dispatch against the reference.
-void check_all_arms(const std::vector<Csr<float>>& layers,
-                    const std::vector<float>& biases, float clamp,
-                    const std::vector<float>& x, index_t batch) {
+// Run both forced arms and auto dispatch against the reference.  Auto
+// dispatch skips a layer exactly when its input holds no nonzero (layer
+// 0's counted here, a later layer's from the previous layer's
+// epilogue); a forced arm never skips.  Returns auto's dispatch trace.
+std::vector<infer::LayerDispatch> check_all_arms(
+    const std::vector<Csr<float>>& layers, const std::vector<float>& biases,
+    float clamp, const std::vector<float>& x, index_t batch) {
   infer::SparseDnn dnn(layers, biases, clamp);
   const auto want = straight_forward(layers, biases, clamp, x, batch);
+  const auto input_nz = static_cast<std::uint64_t>(std::count_if(
+      x.begin(), x.end(), [](float v) { return v != 0.0f; }));
   infer::InferenceWorkspace ws;
   for (infer::Kernel arm : {infer::Kernel::kScatter, infer::Kernel::kGather,
                             infer::Kernel::kAuto}) {
+    if (arm == infer::Kernel::kAuto) {
+      // Leave another input's activations in the panels, so a skipped
+      // layer that does not write what a later reader needs shows up.
+      const std::vector<float> ones(x.size(), 1.0f);
+      ws.force_kernel(infer::Kernel::kGather);
+      (void)dnn.forward(ones.data(), batch, ws);
+    }
     ws.force_kernel(arm);
     const auto got = dnn.forward(x.data(), batch, ws);
     const char* tag = arm == infer::Kernel::kScatter  ? "scatter"
                       : arm == infer::Kernel::kGather ? "gather"
                                                       : "auto";
     expect_bit_exact(got, want, tag);
-    ASSERT_EQ(ws.last_dispatch().size(), layers.size());
-    if (arm != infer::Kernel::kAuto) {
-      for (const auto& d : ws.last_dispatch()) EXPECT_EQ(d.chosen, arm);
+    const auto& trace = ws.last_dispatch();
+    EXPECT_EQ(trace.size(), layers.size());
+    if (trace.size() != layers.size()) return {};
+    for (std::size_t k = 0; k < trace.size(); ++k) {
+      if (arm != infer::Kernel::kAuto) {
+        EXPECT_EQ(trace[k].chosen, arm) << tag << " layer " << k;
+        EXPECT_FALSE(trace[k].skipped) << tag << " layer " << k;
+      } else {
+        const std::uint64_t in_nz =
+            k == 0 ? input_nz : trace[k - 1].nonzero_outputs;
+        EXPECT_EQ(trace[k].skipped, in_nz == 0) << "auto layer " << k;
+      }
     }
   }
+  return ws.last_dispatch();
 }
 
 TEST(SparseDnnFused, RandomStacksBitExactAcrossArms) {
@@ -238,6 +262,57 @@ TEST(SparseDnnFused, UniformWeightNetworkBitExactAcrossArms) {
     const auto x = gc::synthetic_input(batch, 1024, 0.4, irng);
     check_all_arms(net.layers, biases, gc::kClamp, x, batch);
   }
+
+  // The serving shape: the unshuffled 1024 x 12 net at input density
+  // 0.1.  Every row dies at layer 1's epilogue, so layers 2-11 run no
+  // kernel under auto dispatch and only the last one writes its fill.
+  const auto served = gc::network(1024, 12, nullptr);
+  const std::vector<float> served_biases(served.layers.size(), served.bias);
+  Rng srng(902);
+  for (index_t batch : {index_t{1}, index_t{2}, index_t{3}, index_t{8},
+                        index_t{13}}) {
+    const auto x = gc::synthetic_input(batch, 1024, 0.1, srng);
+    const auto trace =
+        check_all_arms(served.layers, served_biases, gc::kClamp, x, batch);
+    ASSERT_EQ(trace.size(), 12u);
+    for (std::size_t k = 0; k < trace.size(); ++k) {
+      EXPECT_EQ(trace[k].skipped, k >= 2) << "batch " << batch << " layer "
+                                           << k;
+    }
+  }
+
+  // Weight -1/16 with bias -0.0 on an all-zero input: +0 * -1/16 + -0.0
+  // is -0.0, which counts as zero, so every layer skips and the last
+  // writes -0.0 everywhere.
+  auto negated = net.layers;
+  for (auto& l : negated) {
+    l = l.map<float>([](float) { return -1.0f / 16.0f; });
+  }
+  const std::vector<float> minus_zero(negated.size(), -0.0f);
+  const std::vector<float> zeros(static_cast<std::size_t>(5) * 1024, 0.0f);
+  {
+    infer::SparseDnn dnn(negated, minus_zero, gc::kClamp);
+    infer::InferenceWorkspace ws;
+    const auto y = dnn.forward(zeros.data(), 5, ws);
+    ASSERT_EQ(y.size(), zeros.size());
+    for (const float v : y) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(v), 0x80000000u);
+    }
+  }
+  for (const auto& d : check_all_arms(negated, minus_zero, gc::kClamp, zeros,
+                                      5)) {
+    EXPECT_TRUE(d.skipped);
+  }
+
+  // Bias +0.25 on an all-zero input: layer 0 skips and fills 0.25, which
+  // revives every row, so layer 1 runs its kernel on constant rows.
+  const std::vector<float> positive(net.layers.size(), 0.25f);
+  const auto trace = check_all_arms(net.layers, positive, gc::kClamp, zeros, 5);
+  ASSERT_EQ(trace.size(), 4u);
+  EXPECT_TRUE(trace[0].skipped);
+  EXPECT_EQ(trace[0].nonzero_outputs, 5u * 1024u);
+  EXPECT_FALSE(trace[1].skipped);
+  EXPECT_DOUBLE_EQ(trace[1].input_density, 1.0);
 }
 
 TEST(SparseDnnFused, SaturatingClampAndEmptyBatch) {
@@ -249,6 +324,7 @@ TEST(SparseDnnFused, SaturatingClampAndEmptyBatch) {
   check_all_arms(layers, biases, /*clamp=*/0.25f,
                  random_input(6, 10, 0.8, rng), 6);
   // Empty batch: all arms must return an empty span and record stats.
+  // It holds no nonzero, so auto dispatch runs no kernel on any layer.
   infer::SparseDnn dnn(layers, biases, 0.25f);
   infer::InferenceWorkspace ws;
   infer::InferenceStats stats;
@@ -256,6 +332,11 @@ TEST(SparseDnnFused, SaturatingClampAndEmptyBatch) {
   EXPECT_TRUE(y.empty());
   EXPECT_EQ(stats.edges_processed, 0u);
   EXPECT_EQ(stats.nonzero_outputs, 0u);
+  ASSERT_EQ(ws.last_dispatch().size(), 2u);
+  for (const auto& d : ws.last_dispatch()) {
+    EXPECT_TRUE(d.skipped);
+    EXPECT_EQ(d.nonzero_outputs, 0u);
+  }
 }
 
 TEST(SparseDnnFused, RejectsInputAliasingWorkspacePanels) {
@@ -289,19 +370,49 @@ TEST(SparseDnnFused, AutoDispatchTracksActivationDensity) {
   infer::SparseDnn dnn(layers, std::vector<float>{0.0f, 0.0f});
   infer::InferenceWorkspace ws;
 
-  // All-zero input: density 0 -> the scatter arm's row skip wins.
+  // All-zero input: density 0 -> the scatter arm's row skip wins, and
+  // with nothing to skip over, no kernel runs: the bias-0 fill is +0, so
+  // layer 1's input is all zero too.
   std::vector<float> zeros(64 * 4, 0.0f);
   (void)dnn.forward(zeros.data(), 4, ws);
   ASSERT_EQ(ws.last_dispatch().size(), 2u);
   EXPECT_EQ(ws.last_dispatch()[0].chosen, infer::Kernel::kScatter);
   EXPECT_DOUBLE_EQ(ws.last_dispatch()[0].input_density, 0.0);
   EXPECT_EQ(ws.last_dispatch()[0].nonzero_outputs, 0u);
+  EXPECT_TRUE(ws.last_dispatch()[0].skipped);
+  EXPECT_TRUE(ws.last_dispatch()[1].skipped);
 
   // Fully dense input: density 1 -> gather.
   std::vector<float> ones(64 * 4, 1.0f);
   (void)dnn.forward(ones.data(), 4, ws);
   EXPECT_EQ(ws.last_dispatch()[0].chosen, infer::Kernel::kGather);
   EXPECT_DOUBLE_EQ(ws.last_dispatch()[0].input_density, 1.0);
+  EXPECT_FALSE(ws.last_dispatch()[0].skipped);
+
+  // Each gather form has its own crossover.  At input density 0.1 a
+  // challenge layer, which gathers through its layout, is past the
+  // structured crossover; the same topology with per-edge weights has
+  // no layout and stays below the CSR form's.
+  Rng crng(14);
+  const std::vector<Csr<float>> structured = {
+      gc::network(1024, 2, &crng).layers[0]};
+  auto weighted = structured;
+  weighted[0] = weighted[0].map<float>(
+      [&](float) { return static_cast<float>(crng.uniform(0.03, 0.09)); });
+  const auto x = gc::synthetic_input(4, 1024, 0.1, crng);
+  for (const auto& [one_layer, arm] :
+       {std::pair{structured, infer::Kernel::kGather},
+        std::pair{weighted, infer::Kernel::kScatter}}) {
+    const infer::SparseDnn one(one_layer, -0.3f);
+    ASSERT_EQ(one.layout(0) != nullptr, arm == infer::Kernel::kGather);
+    (void)one.forward(x.data(), 4, ws);
+    ASSERT_EQ(ws.last_dispatch().size(), 1u);
+    EXPECT_GT(ws.last_dispatch()[0].input_density,
+              infer::kStructuredGatherDensityThreshold);
+    EXPECT_LE(ws.last_dispatch()[0].input_density,
+              infer::kGatherDensityThreshold);
+    EXPECT_EQ(ws.last_dispatch()[0].chosen, arm);
+  }
 }
 
 TEST(SparseDnnFused, WorkspaceReuseIsZeroAllocation) {
@@ -331,6 +442,34 @@ TEST(SparseDnnFused, WorkspaceReuseIsZeroAllocation) {
   EXPECT_EQ(ws.panel_data(), panel_before);
   EXPECT_EQ(ws.capacity(), cap_before);
   expect_bit_exact(y2, first, "steady-state reuse");
+}
+
+TEST(SparseDnnFused, SkippedLayersAllocateNothingAfterPrewarm) {
+  // The serving shape: after layer 1 every row is dead, so layers 2-11
+  // run no kernel.  Their fills use the prewarmed panels only.
+  const auto net = gc::network(1024, 12, nullptr);
+  infer::SparseDnn dnn(net.layers, net.bias, gc::kClamp);
+  Rng irng(903);
+  const index_t batch = 8;
+  const auto x = gc::synthetic_input(batch, 1024, 0.1, irng);
+
+  infer::InferenceWorkspace ws;
+  dnn.prewarm({.max_batch = batch, .workspace = &ws});
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  const auto y = dnn.forward(x.data(), batch, ws);
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0u)
+      << "a forward with skipped layers must not allocate";
+  const auto skipped = std::count_if(
+      ws.last_dispatch().begin(), ws.last_dispatch().end(),
+      [](const infer::LayerDispatch& d) { return d.skipped; });
+  EXPECT_EQ(skipped, 10);
+
+  infer::InferenceWorkspace scatter_ws;
+  scatter_ws.force_kernel(infer::Kernel::kScatter);
+  expect_bit_exact(dnn.forward(x.data(), batch, scatter_ws),
+                   std::vector<float>(y.begin(), y.end()), "skip-vs-scatter");
 }
 
 TEST(SparseDnnFused, PrewarmMakesFirstForwardZeroAllocation) {
@@ -391,7 +530,8 @@ TEST(SparseDnnFused, PrewarmMakesFirstForwardZeroAllocation) {
 
 TEST(SparseDnnFused, PrewarmBuildsNothingForStructuredNet) {
   // Every layer of a challenge net has a layout, so its gather arm needs
-  // no transpose and a prewarm without a workspace has nothing to build.
+  // no transpose and a prewarm without a workspace has nothing to build;
+  // with one, it sizes no pack panel, which only the CSR form reads.
   Rng rng(26);
   const auto net = gc::network(1024, 4, &rng);
   const infer::SparseDnn dnn(net.layers, net.bias, gc::kClamp);
@@ -404,6 +544,11 @@ TEST(SparseDnnFused, PrewarmBuildsNothingForStructuredNet) {
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0u)
       << "prewarm built a transpose for a structured layer";
+
+  infer::InferenceWorkspace ws;
+  dnn.prewarm({.max_batch = 64, .workspace = &ws});
+  EXPECT_EQ(ws.capacity(), 64u * 1024u);
+  EXPECT_EQ(ws.pack_capacity(), 0u);
 }
 
 TEST(SparseDnnFused, PackPanelCoversWidestLayerInput) {
