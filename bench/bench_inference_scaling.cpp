@@ -123,8 +123,8 @@ void BM_InferFused(benchmark::State& state) {
   infer::SparseDnn dnn(net.layers, net.bias, gc::kClamp);
   infer::InferenceWorkspace ws;
   infer::InferenceStats stats;
-  // Warm-up: sizes the workspace and builds any lazily transposed
-  // layers, so the loop measures the steady (zero-allocation) state.
+  // Warm-up: sizes the workspace, so the loop measures the steady
+  // (zero-allocation) state.
   (void)dnn.forward(x.data(), batch, ws, nullptr);
 
   for (auto _ : state) {

@@ -134,8 +134,9 @@ void BM_StoreLoadSpec(benchmark::State& state) {
 BENCHMARK(BM_StoreLoadSpec)->Arg(12)->Arg(24)->Unit(benchmark::kMicrosecond);
 
 void BM_StoreColdStart(benchmark::State& state) {
-  // Daemon-restart latency: mmap load + the first forward pass (which
-  // pays the lazy transpose builds the load path deliberately skips).
+  // Daemon-restart latency: mmap load, construction (which builds each
+  // layer's gather structure) and the first forward pass (which sizes
+  // its workspace).
   const StoreFiles& f = files_for(static_cast<std::size_t>(state.range(0)));
   Rng rng(5);
   const std::vector<float> input =

@@ -50,8 +50,7 @@ int main(int argc, char** argv) {
   const auto x = gc::synthetic_input(batch, neurons, 0.4, input_rng);
 
   // One workspace for every call: the first forward sizes its ping-pong
-  // panels (and builds lazily transposed layers for the gather arm);
-  // every later call is allocation-free.
+  // panels; every later call is allocation-free.
   infer::InferenceWorkspace ws;
   infer::InferenceStats first;
   const auto y = dnn.forward(x.data(), batch, ws, &first);

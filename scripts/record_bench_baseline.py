@@ -359,7 +359,7 @@ def store_load(store: dict) -> dict:
                  "equal depth; the mmap path validates checksums but "
                  "never deserializes (zero-copy views into the mapping). "
                  "The CI gate requires mmap >= 10x the TSV parse.  Cold "
-                 "start adds the first forward pass (lazy transposes) on "
+                 "start adds the first forward pass (workspace sizing) on "
                  "top of the mmap load."),
     }
 

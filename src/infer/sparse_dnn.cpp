@@ -33,31 +33,6 @@ SparseDnn::SparseDnn(std::vector<CsrFloatView> layers,
   validate_and_index();
 }
 
-SparseDnn::SparseDnn(SparseDnn&& other) noexcept
-    : layers_(std::move(other.layers_)),
-      views_(std::move(other.views_)),
-      storage_(std::move(other.storage_)),
-      biases_(std::move(other.biases_)),
-      clamp_(other.clamp_),
-      layer_uniform_(std::move(other.layer_uniform_)),
-      uniform_weight_(std::move(other.uniform_weight_)),
-      layouts_(std::move(other.layouts_)),
-      transposed_(std::move(other.transposed_)) {}
-
-SparseDnn& SparseDnn::operator=(SparseDnn&& other) noexcept {
-  if (this == &other) return *this;
-  layers_ = std::move(other.layers_);
-  views_ = std::move(other.views_);
-  storage_ = std::move(other.storage_);
-  biases_ = std::move(other.biases_);
-  clamp_ = other.clamp_;
-  layer_uniform_ = std::move(other.layer_uniform_);
-  uniform_weight_ = std::move(other.uniform_weight_);
-  layouts_ = std::move(other.layouts_);
-  transposed_ = std::move(other.transposed_);
-  return *this;
-}
-
 void SparseDnn::validate_and_index() {
   RADIX_REQUIRE(!views_.empty(), "SparseDnn: need at least one layer");
   RADIX_REQUIRE(biases_.size() == views_.size(),
@@ -66,10 +41,10 @@ void SparseDnn::validate_and_index() {
     RADIX_REQUIRE_DIM(views_[i].cols() == views_[i + 1].rows(),
                       "SparseDnn: layer shapes do not chain");
   }
-  transposed_.resize(views_.size());
   layer_uniform_.reserve(views_.size());
   uniform_weight_.reserve(views_.size());
   layouts_.reserve(views_.size());
+  transposes_.reserve(views_.size());
   for (const auto& l : views_) {
     const auto vals = l.values();
     const bool uniform =
@@ -79,6 +54,9 @@ void SparseDnn::validate_and_index() {
     uniform_weight_.push_back(uniform && !vals.empty() ? vals.front()
                                                        : 0.0f);
     layouts_.push_back(uniform ? detect_radix_layout(l) : std::nullopt);
+    // A layer without a layout gathers over its transpose instead.
+    transposes_.push_back(layouts_.back() ? std::nullopt
+                                          : std::optional(l.transpose()));
   }
 }
 
@@ -109,29 +87,10 @@ index_t SparseDnn::pack_width() const noexcept {
   return w;
 }
 
-const Csr<float>& SparseDnn::transposed(std::size_t k) const {
-  // The lock only serializes cache fills; once built a transpose is
-  // immutable, so returning the reference after unlock is safe.
-  std::scoped_lock lock(transpose_mutex_);
-  auto& slot = transposed_[k];
-  if (!slot) slot = std::make_unique<Csr<float>>(views_[k].transpose());
-  return *slot;
-}
-
 void SparseDnn::prewarm(const WorkspaceHint& hint) const {
-  // Building via transposed() keeps the fill under the cache mutex, so
-  // prewarming may race concurrent forward calls safely.  A layer with a
-  // layout gathers without one.
-  for (std::size_t k = 0; k < views_.size(); ++k) {
-    if (!layouts_[k]) (void)transposed(k);
-  }
   if (hint.workspace != nullptr) {
-    hint.workspace->reserve(hint.max_batch, max_width(), pack_width());
-    // forward() reserves the dispatch trace lazily; doing it here keeps
-    // the first post-prewarm pass allocation-free.
-    if (hint.workspace->dispatch_.capacity() < views_.size()) {
-      hint.workspace->dispatch_.reserve(views_.size());
-    }
+    hint.workspace->reserve(hint.max_batch, max_width(), pack_width(),
+                            depth());
   }
 }
 
@@ -146,11 +105,8 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
   RADIX_REQUIRE(!workspace.owns(input),
                 "SparseDnn::forward: input must not alias the workspace "
                 "panels");
-  workspace.reserve(batch, max_width(), pack_width());
+  workspace.reserve(batch, max_width(), pack_width(), depth());
   workspace.dispatch_.clear();
-  if (workspace.dispatch_.capacity() < views_.size()) {
-    workspace.dispatch_.reserve(views_.size());
-  }
 
   // Input nonzero count seeds the density signal for the first layer's
   // dispatch; every later layer gets it free from the fused epilogue.
@@ -201,7 +157,7 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
                                             biases_[k], clamp_);
       } else {
         nz = spmm_dense_csrT_fused_uniform(cur, batch, w.rows(),
-                                           transposed(k),
+                                           *transposes_[k],
                                            uniform_weight_[k], dst,
                                            biases_[k], clamp_,
                                            workspace.pack());
@@ -210,7 +166,7 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
       nz = choice == Kernel::kScatter
                ? spmm_dense_csr_fused(cur, batch, w.rows(), w, dst,
                                       biases_[k], clamp_)
-               : spmm_dense_csrT_fused(cur, batch, w.rows(), transposed(k),
+               : spmm_dense_csrT_fused(cur, batch, w.rows(), *transposes_[k],
                                        dst, biases_[k], clamp_,
                                        workspace.pack());
     }

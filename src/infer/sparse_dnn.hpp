@@ -40,10 +40,9 @@
 //         weight arrays: within a wrap range every output reads its
 //         inputs at the same offsets, so the structured kernel adds four
 //         consecutive outputs per vector register;
-//       - every other layer gathers along a transposed copy (built
-//         lazily on first use, then cached), streaming the weights
-//         sequentially with four batch rows per vector register in
-//         blocks of 4 or 8 rows.
+//       - every other layer gathers along its transpose (also built at
+//         construction), streaming the weights sequentially with four
+//         batch rows per vector register in blocks of 4 or 8 rows.
 //     Both forms stay bit-identical to the scatter arm.
 //
 // The skip is part of the automatic dispatch: a workspace pinned to one
@@ -54,15 +53,14 @@
 // ping-pong panels sized once to batch x max_layer_width, plus the CSR
 // gather form's pack panel (batch x widest input of a layer without a
 // layout; empty when every layer has one), so a forward pass performs
-// zero heap allocations in steady state (the first pass may build
-// transposed layers).  Layer 0 reads the caller's batch in
-// place; the only copies of activations are the CSR gather form's
-// packs, which re-lay each block of up to 8 input rows
+// zero heap allocations once its workspace is sized.  Layer 0 reads the
+// caller's batch in place; the only copies of activations are the CSR
+// gather form's packs, which re-lay each block of up to 8 input rows
 // batch-interleaved so a W^T entry costs one contiguous load and one
 // packed add per four rows (sparse/spmm.hpp).
-// Concurrent forward calls on one SparseDnn instance are safe as long
-// as each caller brings its own workspace (the lazy transpose cache is
-// mutex-guarded; layouts are immutable after construction).
+// Nothing in a SparseDnn changes after construction, so concurrent
+// forward calls on one instance are safe as long as each caller brings
+// its own workspace.
 //
 // Layer storage
 // -------------
@@ -73,10 +71,10 @@
 // (store/artifact.hpp): the view constructor takes a
 // shared_ptr<const void> keep-alive that pins the backing memory for
 // the engine's lifetime.  Borrowed layers are never copied -- the fused
-// kernels stream the mapped arrays directly; only derived structures
-// are materialized on the heap: a layer's RadixLayout (O(width), built
-// at construction) or, for a layer without one, its lazy gather-arm
-// transpose (O(nnz)).
+// kernels stream the mapped arrays directly; only each layer's gather
+// structure is materialized on the heap, at construction: its
+// RadixLayout (O(width)) or, for a layer without one, its transpose
+// (O(nnz)).
 // SparseDnn is move-only: views into owned layers stay valid across
 // moves (vector heap buffers are stable) but would dangle in a copy.
 //
@@ -86,7 +84,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -145,14 +142,13 @@ inline constexpr double kGatherDensityThreshold = 0.25;
 /// density 0.1 (serve-wire's) gather their live layers.
 inline constexpr double kStructuredGatherDensityThreshold = 0.05;
 
-/// What SparseDnn::prewarm should make ready ahead of the first
+/// The workspace SparseDnn::prewarm should size ahead of the first
 /// forward call (see prewarm below).
 struct WorkspaceHint {
   /// Largest batch (rows) the caller expects to run; used to size the
-  /// workspace panels.  0 skips panel sizing (transposes only).
+  /// workspace panels.
   index_t max_batch = 0;
-  /// Workspace to pre-size; may be null when only the shared transpose
-  /// cache should be built (e.g. worker workspaces live elsewhere).
+  /// Workspace to pre-size; null makes prewarm a no-op.
   InferenceWorkspace* workspace = nullptr;
 };
 
@@ -181,12 +177,11 @@ class SparseDnn {
   SparseDnn(std::vector<CsrFloatView> layers, std::vector<float> biases,
             float clamp, std::shared_ptr<const void> storage);
 
-  // Movable (the mutex member forbids =default: the moved-to instance
-  // gets a fresh mutex; moving while another thread runs forward is as
-  // undefined as for any container).  Views into owned layers_ survive
-  // the move -- vector heap buffers are stable.
-  SparseDnn(SparseDnn&& other) noexcept;
-  SparseDnn& operator=(SparseDnn&& other) noexcept;
+  // Views into owned layers_ survive a move -- vector heap buffers are
+  // stable.  Moving while another thread runs forward is as undefined as
+  // for any container.
+  SparseDnn(SparseDnn&&) = default;
+  SparseDnn& operator=(SparseDnn&&) = default;
   SparseDnn(const SparseDnn&) = delete;
   SparseDnn& operator=(const SparseDnn&) = delete;
 
@@ -217,15 +212,11 @@ class SparseDnn {
   /// does size the pack panel when layer 0 has no layout).
   index_t max_width() const noexcept;
 
-  /// Pay every one-time cost up front so the *first* forward call is
-  /// already in the zero-allocation steady state: eagerly builds the
-  /// lazily cached transposes of the layers without a layout (the CSR
-  /// gather form's backing store, shared by all workspaces), and, when
-  /// the hint carries a workspace, sizes its panels for hint.max_batch
-  /// rows and reserves its dispatch trace.  A net whose layers all have
-  /// a layout builds nothing without a workspace.  Serving engines call
-  /// this from model registration so the first request never pays
-  /// construction latency; thread-safe like forward.
+  /// Size the hint's workspace up front -- its panels for
+  /// hint.max_batch rows and its dispatch trace -- so the *first*
+  /// forward call through it is already allocation-free.  Every layer's
+  /// gather structure is built at construction, so there is nothing
+  /// else to pay; without a workspace this does nothing.
   void prewarm(const WorkspaceHint& hint = {}) const;
 
   /// Zero-allocation forward: runs the full stack over the row-major
@@ -252,7 +243,6 @@ class SparseDnn {
 
  private:
   void validate_and_index();
-  const Csr<float>& transposed(std::size_t k) const;
   /// Widest input of a layer without a layout (layer 0's included): the
   /// width of the CSR gather form's pack panel, 0 when every layer has a
   /// layout.
@@ -271,14 +261,11 @@ class SparseDnn {
   // load + multiply (spmm_dense_csr*_fused_uniform).
   std::vector<char> layer_uniform_;
   std::vector<float> uniform_weight_;
-  // Per layer, the RadixLayout of a uniform RadiX-Net layer; built at
-  // construction and immutable after it, so forwards read it unlocked.
+  // Per layer, exactly one gather structure: the RadixLayout of a
+  // uniform RadiX-Net layer, else the layer's transpose.  Both are built
+  // at construction and immutable after it.
   std::vector<std::optional<RadixLayout>> layouts_;
-  // Lazily built, cached transposes backing the gather arm; the mutex
-  // serializes cache fills so concurrent forward calls on one instance
-  // (each with its own workspace) stay safe.
-  mutable std::mutex transpose_mutex_;
-  mutable std::vector<std::unique_ptr<Csr<float>>> transposed_;
+  std::vector<std::optional<Csr<float>>> transposes_;
 };
 
 }  // namespace radix::infer

@@ -35,7 +35,7 @@ enum class Kernel : std::uint8_t {
   kAuto,     ///< let the per-layer density heuristic decide
   kScatter,  ///< CSR scatter with zero-activation row skip
   kGather,   ///< row-gather: structured over the layer's RadixLayout,
-             ///< else over the lazily transposed layer
+             ///< else over the layer's transpose
 };
 
 /// Per-layer record of the last forward pass's dispatch decisions.
@@ -54,12 +54,6 @@ struct LayerDispatch {
 class InferenceWorkspace {
  public:
   InferenceWorkspace() = default;
-
-  /// Ensure capacity for two batch x max_width activation panels and a
-  /// batch x pack_width pack panel.  Growth-only: shrinking requests
-  /// keep the larger buffers, so alternating shapes never thrash the
-  /// allocator.
-  void reserve(index_t batch, index_t max_width, index_t pack_width);
 
   /// Floats per activation panel currently allocated.
   std::size_t capacity() const noexcept { return buf_[0].size(); }
@@ -94,6 +88,13 @@ class InferenceWorkspace {
 
  private:
   friend class SparseDnn;
+
+  /// Ensure capacity for two batch x max_width activation panels, a
+  /// batch x pack_width pack panel and a dispatch trace of `layers`
+  /// entries.  Growth-only: shrinking requests keep the larger buffers,
+  /// so alternating shapes never thrash the allocator.
+  void reserve(index_t batch, index_t max_width, index_t pack_width,
+               std::size_t layers);
 
   float* panel(int i) noexcept { return buf_[i].data(); }
   float* pack() noexcept { return pack_.get(); }

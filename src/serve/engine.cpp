@@ -87,11 +87,6 @@ ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
   st->input_width = st->dnn->input_width();
   st->output_width = st->dnn->output_width();
   st->stats = std::make_shared<StatsCollector>();
-  // Builds the shared transposed-layer cache once, up front, so the
-  // first served batch does not pay one-time construction latency.
-  // Worker workspaces stay lazy: their panels grow once per worker on
-  // first contact (growth-only, cheap next to a transpose build).
-  st->dnn->prewarm();
   // Registry publish and batcher queue creation must be one atomic
   // step: concurrent add_model calls interleaving between them would
   // hand out mismatched ids and route one model's traffic to another's
@@ -137,10 +132,6 @@ void Engine::remove_model(ModelId id) {
 void Engine::swap_model(ModelId id,
                         std::shared_ptr<const infer::SparseDnn> dnn) {
   RADIX_REQUIRE(dnn != nullptr, "Engine: model must not be null");
-  // Prewarm BEFORE taking any lock or publishing: the first batch on
-  // the new version must not pay transpose construction, and the
-  // submit hot path must never wait on it.
-  dnn->prewarm();
   std::scoped_lock lock(models_mutex_);
   const auto reg = models_.load();
   RADIX_REQUIRE(id < reg->size(), "Engine: unknown model id");

@@ -48,9 +48,6 @@
 //   * Each worker owns a persistent InferenceWorkspace and a growth-only
 //     batch staging buffer, so the steady-state serving path performs no
 //     heap allocation beyond the per-request future/callback plumbing.
-//   * add_model prewarms the model (SparseDnn::prewarm): the lazily
-//     transposed gather-arm layers are built once, up front and shared,
-//     so the first served request does not pay one-time construction.
 //   * Each admitted request is stored once (its model's queue in the
 //     batcher), recorded once (its model's StatsCollector -- the class
 //     view is a merge of those) and completed once: by the worker that
@@ -74,10 +71,8 @@
 //     copy a snapshot pointer (support/thread.hpp's Snapshot), so the
 //     lifecycle calls -- add_model, remove_model, swap_model -- publish
 //     under a mutation mutex without ever blocking the submit hot
-//     path.  swap_model prewarms the incoming version's transpose
-//     caches BEFORE publishing, so the first post-cutover batch pays no
-//     one-time construction; a batch is always served whole by one
-//     version (workers resolve the snapshot once per claimed batch).
+//     path.  A batch is always served whole by one version (workers
+//     resolve the snapshot once per claimed batch).
 //   * Time is injectable (EngineOptions::clock): tests drive the
 //     coalescing deadlines and latency stats with a FakeClock.
 //   * The engine keeps ledgers and live gauges but exports nothing
@@ -174,12 +169,11 @@ class Engine final {
 
   /// Cut `id` over to a new version of the model without a gap in
   /// service.  The new version must have the same input/output widths
-  /// (queued requests were validated against them).  The incoming dnn
-  /// is prewarmed (transpose caches, see add_model) BEFORE the
-  /// copy-on-write publish, and the publish never blocks submit:
-  /// requests claimed after swap_model returns are served by the new
-  /// version, batches claimed earlier finish on the version they
-  /// started with -- a batch is never split across versions.
+  /// (queued requests were validated against them).  The copy-on-write
+  /// publish never blocks submit: requests claimed after swap_model
+  /// returns are served by the new version, batches claimed earlier
+  /// finish on the version they started with -- a batch is never split
+  /// across versions.
   void swap_model(ModelId id, std::shared_ptr<const infer::SparseDnn> dnn);
 
   /// Burn one model id: appends a permanently retired slot (no model,

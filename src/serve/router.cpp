@@ -208,10 +208,6 @@ void ShardRouter::remove_model(ModelId id) {
 void ShardRouter::swap_model(ModelId id,
                              std::shared_ptr<const infer::SparseDnn> dnn) {
   RADIX_REQUIRE(dnn != nullptr, "ShardRouter: model must not be null");
-  // One prewarm before ANY shard cuts over: the transpose caches live
-  // on the shared SparseDnn, so each shard's own prewarm (inside
-  // Engine::swap_model) finds them already built.
-  dnn->prewarm();
   std::scoped_lock lock(admin_mutex_);
   auto next = clone_fleet_locked();
   RADIX_REQUIRE(id < next->models.size(), "ShardRouter: unknown model id");

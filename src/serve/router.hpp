@@ -193,8 +193,7 @@ class ShardRouter final : public Backend {
   void remove_model(ModelId id);
 
   /// Cut a model over to a new same-shape version fleet-wide:
-  /// Engine::swap_model on every live shard.  The version is prewarmed
-  /// once before the first shard cuts over; each shard's cutover is
+  /// Engine::swap_model on every live shard.  Each shard's cutover is
   /// atomic (a batch is never split across versions) and the submit
   /// hot path is never blocked.  Bumps model_entry(id).version; a
   /// rejected swap (different widths, removed id) changes nothing.

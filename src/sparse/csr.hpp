@@ -272,6 +272,8 @@ void Csr<T>::check_invariants() const {
                "Csr: colind/val size mismatch");
   for (index_t r = 0; r < rows_; ++r) {
     RADIX_ASSERT(rowptr_[r] <= rowptr_[r + 1], "Csr: rowptr not monotone");
+    RADIX_ASSERT(rowptr_[r + 1] <= colind_.size(),
+                 "Csr: rowptr entry past nnz");
     for (offset_t k = rowptr_[r]; k < rowptr_[r + 1]; ++k) {
       RADIX_ASSERT(colind_[k] < cols_, "Csr: column index out of range");
       if (k > rowptr_[r]) {

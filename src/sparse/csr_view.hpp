@@ -109,6 +109,9 @@ void check_view_invariants(const CsrFloatView& v, FailFn&& fail) {
   const auto colind = v.colind();
   for (index_t r = 0; r < v.rows(); ++r) {
     if (rowptr[r] > rowptr[r + 1]) fail("rowptr not monotone");
+    // Bound the row before its loop reads colind: monotonicity alone
+    // lets an interior entry run past nnz.
+    if (rowptr[r + 1] > colind.size()) fail("rowptr entry past nnz");
     for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
       if (colind[k] >= v.cols()) fail("column index out of range");
       if (k > rowptr[r] && colind[k - 1] >= colind[k]) {

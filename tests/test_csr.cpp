@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "sparse/csr_view.hpp"
 #include "sparse/dense.hpp"
 #include "support/error.hpp"
 #include "support/random.hpp"
@@ -147,6 +152,36 @@ TEST(Csr, InvariantViolationsDetected) {
   EXPECT_THROW(Csr<float>(1, 2, {0, 1}, {5}, {1.0f}), InternalError);
   // rowptr not ending at nnz.
   EXPECT_THROW(Csr<float>(1, 2, {0, 2}, {0}, {1.0f}), InternalError);
+}
+
+TEST(Csr, InteriorRowptrPastNnzRejectedBeforeItsRowIsRead) {
+  // Monotone, ending at nnz, and the columns keep increasing across the
+  // row boundary: only a bound on rowptr[1] stops row 0's loop from
+  // reading past colind (a heap-buffer-overflow under ASan).
+  const std::vector<offset_t> rowptr = {0, offset_t{1} << 36, 5};
+  const std::vector<index_t> colind = {0, 1, 2, 3, 4};
+  const std::vector<float> values(colind.size(), 1.0f);
+  const auto expect_names_rowptr = [](const std::string& what) {
+    EXPECT_NE(what.find("rowptr"), std::string::npos) << what;
+  };
+
+  try {
+    Csr<float>(2, 8, rowptr, colind, values);
+    ADD_FAILURE() << "Csr accepted an interior rowptr past nnz";
+  } catch (const InternalError& e) {
+    expect_names_rowptr(e.what());
+  }
+
+  const CsrFloatView view(2, 8, rowptr, colind, values);
+  try {
+    check_view_invariants(view, [](const char* msg) {
+      throw std::invalid_argument(msg);
+    });
+    ADD_FAILURE() << "check_view_invariants accepted an interior rowptr "
+                     "past nnz";
+  } catch (const std::invalid_argument& e) {
+    expect_names_rowptr(e.what());
+  }
 }
 
 TEST(Csr, FromCooRejectsOutOfRange) {

@@ -123,6 +123,17 @@ std::vector<float> straight_forward(const std::vector<Csr<float>>& layers,
   return cur;
 }
 
+// Per-edge weights for a challenge net's layers: none of them then gets
+// a layout, so every gather runs the CSR gather form over the layer's
+// transpose.
+void randomize_weights(std::vector<Csr<float>>& layers, Rng& rng) {
+  for (auto& l : layers) {
+    l = l.map<float>([&](float) {
+      return static_cast<float>(rng.uniform(0.03, 0.09));
+    });
+  }
+}
+
 Csr<float> random_layer(index_t rows, index_t cols, double density,
                         Rng& rng) {
   Coo<float> coo(rows, cols);
@@ -425,7 +436,7 @@ TEST(SparseDnnFused, WorkspaceReuseIsZeroAllocation) {
 
   infer::InferenceWorkspace ws;
   infer::InferenceStats stats;
-  // Warm-up sizes the panels and builds any lazy transposes.
+  // Warm-up sizes the panels.
   const auto y1 = dnn.forward(x.data(), batch, ws, &stats);
   const std::vector<float> first(y1.begin(), y1.end());
   const float* panel_before = ws.panel_data();
@@ -473,20 +484,15 @@ TEST(SparseDnnFused, SkippedLayersAllocateNothingAfterPrewarm) {
 }
 
 TEST(SparseDnnFused, PrewarmMakesFirstForwardZeroAllocation) {
-  // Without prewarm, the first forward pays one-time costs: panel
-  // sizing, the dispatch-trace reserve, and (on the gather arm) the
-  // lazily built transposed layers.  prewarm(WorkspaceHint) pays all of
-  // them up front, so even the *first* forward through the hinted
-  // workspace is allocation-free -- the property the serving engine
-  // relies on at model registration.  Non-uniform weights keep every
-  // layer off the structured gather kernel, so the transposes are built.
+  // Without prewarm, the first forward through a workspace pays its
+  // one-time costs: panel sizing and the dispatch-trace reserve.
+  // prewarm(WorkspaceHint) pays them up front, so even the *first*
+  // forward through the hinted workspace is allocation-free.
+  // Non-uniform weights keep every layer off the structured gather
+  // kernel, so the CSR gather form's pack panel is sized too.
   Rng rng(25);
   auto net = gc::network(1024, 4, &rng);
-  for (auto& l : net.layers) {
-    l = l.map<float>([&](float) {
-      return static_cast<float>(rng.uniform(0.03, 0.09));
-    });
-  }
+  randomize_weights(net.layers, rng);
   infer::SparseDnn dnn(net.layers, net.bias, gc::kClamp);
   for (std::size_t k = 0; k < dnn.depth(); ++k) {
     ASSERT_EQ(dnn.layout(k), nullptr) << "layer " << k;
@@ -496,9 +502,8 @@ TEST(SparseDnnFused, PrewarmMakesFirstForwardZeroAllocation) {
   const auto x = gc::synthetic_input(batch, 1024, 0.4, irng);
 
   infer::InferenceWorkspace ws;
-  // Force the gather arm: every layer must find its transpose already
-  // cached (auto dispatch would also be covered, but this pins the
-  // worst case).
+  // Force the gather arm, the one that reads the pack panel (auto
+  // dispatch would also be covered, but this pins the worst case).
   ws.force_kernel(infer::Kernel::kGather);
   dnn.prewarm({.max_batch = batch, .workspace = &ws});
   EXPECT_EQ(ws.capacity(), static_cast<std::size_t>(batch) * 1024);
@@ -511,14 +516,14 @@ TEST(SparseDnnFused, PrewarmMakesFirstForwardZeroAllocation) {
       << "first forward after prewarm must not allocate";
 
   // Bit-exact against an un-prewarmed engine: prewarm changes when the
-  // caches are built, never what the pass computes.
+  // workspace is sized, never what the pass computes.
   infer::SparseDnn cold(net.layers, net.bias, gc::kClamp);
   infer::InferenceWorkspace cold_ws;
   cold_ws.force_kernel(infer::Kernel::kGather);
   const auto y2 = cold.forward(x.data(), batch, cold_ws);
   expect_bit_exact(y1, std::vector<float>(y2.begin(), y2.end()), "prewarm");
 
-  // Idempotent, and a null-workspace hint (transposes only) is allowed.
+  // Idempotent, and a null-workspace hint (a no-op) is allowed.
   dnn.prewarm({.max_batch = batch, .workspace = &ws});
   dnn.prewarm();
   g_alloc_count.store(0);
@@ -528,10 +533,50 @@ TEST(SparseDnnFused, PrewarmMakesFirstForwardZeroAllocation) {
   EXPECT_EQ(g_alloc_count.load(), 0u);
 }
 
+TEST(SparseDnnFused, FreshInstanceFirstGatherForwardAllocatesNothing) {
+  // Every layer's gather structure is built at construction, so the
+  // first forced-gather forward of a fresh instance without layouts
+  // allocates nothing once its workspace is sized.  The workspace is
+  // sized through another instance's prewarm, so the fresh one never
+  // calls prewarm itself.
+  Rng rng(28);
+  auto net = gc::network(1024, 4, &rng);
+  randomize_weights(net.layers, rng);
+  Rng irng(9);
+  const index_t batch = 8;
+  const auto x = gc::synthetic_input(batch, 1024, 0.4, irng);
+
+  infer::InferenceWorkspace ws;
+  ws.force_kernel(infer::Kernel::kGather);
+  const infer::SparseDnn sizer(net.layers, net.bias, gc::kClamp);
+  sizer.prewarm({.max_batch = batch, .workspace = &ws});
+
+  const infer::SparseDnn fresh(net.layers, net.bias, gc::kClamp);
+  for (std::size_t k = 0; k < fresh.depth(); ++k) {
+    ASSERT_EQ(fresh.layout(k), nullptr) << "layer " << k;
+  }
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  const auto y = fresh.forward(x.data(), batch, ws);
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0u)
+      << "first gather forward of a fresh instance must not allocate";
+  for (const auto& d : ws.last_dispatch()) {
+    EXPECT_EQ(d.chosen, infer::Kernel::kGather);
+  }
+
+  infer::InferenceWorkspace scatter_ws;
+  scatter_ws.force_kernel(infer::Kernel::kScatter);
+  expect_bit_exact(fresh.forward(x.data(), batch, scatter_ws),
+                   std::vector<float>(y.begin(), y.end()),
+                   "fresh gather-vs-scatter");
+}
+
 TEST(SparseDnnFused, PrewarmBuildsNothingForStructuredNet) {
-  // Every layer of a challenge net has a layout, so its gather arm needs
-  // no transpose and a prewarm without a workspace has nothing to build;
-  // with one, it sizes no pack panel, which only the CSR form reads.
+  // Every layer of a challenge net has a layout, so its gather arm reads
+  // no transpose and a workspace prewarmed for it gets no pack panel,
+  // which only the CSR gather form reads.  A prewarm without a
+  // workspace allocates nothing.
   Rng rng(26);
   const auto net = gc::network(1024, 4, &rng);
   const infer::SparseDnn dnn(net.layers, net.bias, gc::kClamp);
@@ -543,7 +588,7 @@ TEST(SparseDnnFused, PrewarmBuildsNothingForStructuredNet) {
   dnn.prewarm();
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0u)
-      << "prewarm built a transpose for a structured layer";
+      << "a prewarm without a workspace must not allocate";
 
   infer::InferenceWorkspace ws;
   dnn.prewarm({.max_batch = 64, .workspace = &ws});

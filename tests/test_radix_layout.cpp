@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -343,6 +344,11 @@ TEST(RadixLayout, ChallengeNetsGatherThroughLayouts) {
   }
 }
 
+// Defaulted moves deduce noexcept from the members, so these fail if a
+// member stops being nothrow-movable.
+static_assert(std::is_nothrow_move_constructible_v<infer::SparseDnn>);
+static_assert(std::is_nothrow_move_assignable_v<infer::SparseDnn>);
+
 TEST(RadixLayout, MovedSparseDnnKeepsItsLayouts) {
   Rng rng(31);
   const auto net = gc::network(1024, 4, &rng);
@@ -377,6 +383,30 @@ TEST(RadixLayout, MovedSparseDnnKeepsItsLayouts) {
   ASSERT_EQ(assigned.layout(0), nullptr);
   assigned = std::move(constructed);
   expect_layouts(assigned, "move-assigned");
+
+  // A net without layouts gathers over the transposes built at
+  // construction; they move with it.
+  auto weights = net.layers;
+  for (auto& l : weights) {
+    l = l.map<float>([&](float) {
+      return static_cast<float>(rng.uniform(0.03, 0.09));
+    });
+  }
+  infer::SparseDnn csr_source(weights, net.bias, gc::kClamp);
+  const auto y_csr = forward_all_arms(csr_source, x, batch, "csr source");
+  const auto expect_csr = [&](const infer::SparseDnn& dnn, const char* tag) {
+    for (std::size_t k = 0; k < dnn.depth(); ++k) {
+      ASSERT_EQ(dnn.layout(k), nullptr) << tag << " layer " << k;
+    }
+    expect_same_bits(forward_all_arms(dnn, x, batch, tag), y_csr, tag);
+  };
+  infer::SparseDnn csr_constructed(std::move(csr_source));
+  expect_csr(csr_constructed, "csr move-constructed");
+  // Move-assign over a net with layouts.
+  infer::SparseDnn csr_assigned(net.layers, net.bias, gc::kClamp);
+  ASSERT_NE(csr_assigned.layout(0), nullptr);
+  csr_assigned = std::move(csr_constructed);
+  expect_csr(csr_assigned, "csr move-assigned");
 }
 
 }  // namespace

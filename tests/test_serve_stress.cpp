@@ -7,8 +7,8 @@
 //     into;
 //   * many threads driving one shared SparseDnn directly with
 //     per-thread workspaces (the documented concurrency contract of the
-//     fused path), racing the lazily built transpose cache on both
-//     dispatch arms.
+//     fused path), reading its shared transposes on both dispatch arms
+//     at once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -121,7 +121,8 @@ TEST(ServeStress, ManyClientsOneEngineBitExact) {
 
 TEST(ServeStress, SharedSparseDnnPerThreadWorkspaces) {
   // The challenge topology with non-uniform weights: no layer gets a
-  // layout, so every gather goes through the lazy transpose cache.
+  // layout, so every gather reads the layer's transpose, built once at
+  // construction and shared by every thread.
   Rng rng(43);
   auto net = gc::network(1024, 4, &rng);
   for (auto& l : net.layers) {
@@ -146,8 +147,8 @@ TEST(ServeStress, SharedSparseDnnPerThreadWorkspaces) {
   for (int t = 0; t < kThreads; ++t) {
     threads.spawn([&, t] {
       infer::InferenceWorkspace ws;
-      // Half the threads force the gather arm so the lazily built,
-      // mutex-guarded transpose cache is raced from the start.
+      // Half the threads force the gather arm so the shared transposes
+      // are read concurrently from the first pass.
       if (t % 2 == 0) ws.force_kernel(infer::Kernel::kGather);
       for (int i = 0; i < kIters; ++i) {
         const auto y = dnn->forward(x.data(), rows, ws);

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 
 #include "infer/sparse_dnn.hpp"
 #include "radixnet/graph_challenge.hpp"
+#include "store/checksum.hpp"
 #include "store/format.hpp"
 #include "support/error.hpp"
 #include "support/random.hpp"
@@ -251,6 +253,61 @@ TEST_F(StoreArtifactTest, CorruptSectionTableThrowsChecksumError) {
   bytes[64 + 8] ^= 0x01;  // first section entry, offset field
   spit(path("bad.radixart"), bytes);
   EXPECT_THROW(ArtifactReader(path("bad.radixart")), store::ChecksumError);
+}
+
+TEST_F(StoreArtifactTest, InteriorRowptrPastNnzThrowsFormatError) {
+  // One 2 x 8 layer whose columns keep increasing across the row
+  // boundary, so no column check stops row 0 from running past colind
+  // once rowptr[1] does: only the rowptr bound catches it.
+  const infer::SparseDnn dnn(
+      {Csr<float>(2, 8, {0, 2, 5}, {0, 1, 2, 3, 4},
+                  {0.5f, 0.25f, 0.125f, 0.75f, 1.0f})},
+      0.0f);
+  const std::string p = path("rowptr.radixart");
+  store::save_artifact(p, dnn, "m");
+
+  // Tamper rowptr[1], then recompute its section hash and the header
+  // hash, so every checksum passes.
+  auto bytes = slurp(p);
+  store::FileHeader header{};
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  int patched = 0;
+  for (std::uint32_t i = 0; i < header.section_count; ++i) {
+    std::uint8_t* slot = bytes.data() + sizeof(store::FileHeader) +
+                         i * sizeof(store::SectionEntry);
+    store::SectionEntry entry{};
+    std::memcpy(&entry, slot, sizeof(entry));
+    if (entry.kind !=
+        static_cast<std::uint32_t>(store::SectionKind::kRowPtr)) {
+      continue;
+    }
+    const offset_t past_nnz = offset_t{1} << 36;
+    std::memcpy(bytes.data() + entry.offset + sizeof(offset_t), &past_nnz,
+                sizeof(past_nnz));
+    entry.hash = store::xxh64(bytes.data() + entry.offset, entry.size);
+    std::memcpy(slot, &entry, sizeof(entry));
+    ++patched;
+  }
+  ASSERT_EQ(patched, 1);
+  const std::uint64_t zero = 0;
+  std::memcpy(bytes.data() + offsetof(store::FileHeader, header_hash), &zero,
+              sizeof(zero));
+  const std::uint64_t header_hash =
+      store::xxh64(bytes.data(), sizeof(store::FileHeader) +
+                                     header.section_count *
+                                         sizeof(store::SectionEntry));
+  std::memcpy(bytes.data() + offsetof(store::FileHeader, header_hash),
+              &header_hash, sizeof(header_hash));
+  spit(path("bad.radixart"), bytes);
+
+  ArtifactReader reader(path("bad.radixart"));
+  try {
+    (void)reader.instantiate();
+    FAIL() << "an interior rowptr entry past nnz must not instantiate";
+  } catch (const store::FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("rowptr"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(StoreArtifactTest, TruncatedFileThrowsTruncatedError) {
