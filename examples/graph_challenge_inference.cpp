@@ -7,14 +7,16 @@
 // challenge rule Y <- min(32, ReLU(Y W + b)) repeatedly through ONE
 // reused InferenceWorkspace -- the steady-state zero-allocation API the
 // fused engine is built around.  Reports the standard edges/second
-// metric (first call vs steady state) and the per-layer kernel choices
-// of the adaptive dispatch.
+// metric (first call vs steady state), the structured gather kernel's
+// lane count on this host and the per-layer kernel choices of the
+// adaptive dispatch.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
 #include "infer/sparse_dnn.hpp"
 #include "radixnet/graph_challenge.hpp"
+#include "sparse/spmm.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 
@@ -84,7 +86,8 @@ int main(int argc, char** argv) {
   t.add_row({"nonzero outputs", std::to_string(first.nonzero_outputs)});
   t.print(std::cout);
 
-  std::printf("\nadaptive dispatch (density -> kernel):\n");
+  std::printf("\nstructured gather lanes: %d\n", structured_gather_lanes());
+  std::printf("adaptive dispatch (density -> kernel):\n");
   const auto& trace = ws.last_dispatch();
   for (std::size_t k = 0; k < trace.size(); ++k) {
     const char* arm = trace[k].skipped ? "skip"

@@ -38,8 +38,10 @@
 //         as gc::network's shuffle does) gets a RadixLayout at
 //         construction (sparse/radix_layout.hpp).  Its gather needs no
 //         weight arrays: within a wrap range every output reads its
-//         inputs at the same offsets, so the structured kernel adds four
-//         consecutive outputs per vector register;
+//         inputs at the same offsets, so the structured kernel adds
+//         consecutive outputs per vector register, eight on a CPU with
+//         AVX2 and four elsewhere (structured_gather_lanes(),
+//         sparse/spmm.hpp);
 //       - every other layer gathers along its transpose (also built at
 //         construction), streaming the weights sequentially with four
 //         batch rows per vector register in blocks of 4 or 8 rows.
@@ -115,9 +117,9 @@ inline constexpr double kGatherDensityThreshold = 0.25;
 
 /// Crossover for a layer with a RadixLayout, which every
 /// Graph-Challenge layer has: its gather arm runs the structured kernel.
-/// Measured as above on the same host (shuffled nets, medians of 11
-/// calls, 3 runs at 1 thread and 2 at 4 threads), the structured
-/// gather/scatter ratio reaches 1 at:
+/// Measured as above on the same host with the kernel's 4-lane form
+/// (shuffled nets, medians of 11 calls, 3 runs at 1 thread and 2 at 4
+/// threads), the structured gather/scatter ratio reaches 1 at:
 ///
 ///                batch 1      batch 8      batch 64
 ///   1024 x 12    0.01-0.02    0.03-0.05    0.02-0.05
@@ -125,21 +127,34 @@ inline constexpr double kGatherDensityThreshold = 0.25;
 ///
 /// At 0.25 the structured gather takes 0.19-0.37x the scatter time.
 /// At serving batch sizes the same probe gave these structured
-/// gather/scatter time ratios (the 1024 rows cover the unshuffled and
-/// the shuffled net; 3 runs at 4 threads and 2 at 1 thread, which read
-/// alike):
+/// gather/scatter time ratios, each row covering the unshuffled and the
+/// shuffled net (3 runs at 4 threads and 2 at 1 thread, which read
+/// alike).  The 8-lane form, which a CPU with AVX2 runs:
 ///
 ///                  density   batch 1     batch 2     batch 4     batch 8
-///   1024 x 12      0.02      0.79-0.89   0.82-1.02   0.94-1.14   0.98-1.21
-///                  0.05      0.59-0.70   0.63-0.74   0.67-0.83   0.75-0.93
-///                  0.10      0.45-0.51   0.46-0.58   0.51-0.63   0.51-0.67
-///   4096 x 24      0.02      0.63-0.69   0.64-0.79   0.74-0.84   0.76-0.98
-///                  0.05      0.45-0.55   0.50-0.60   0.54-0.66   0.56-0.72
-///                  0.10      0.35-0.41   0.36-0.47   0.36-0.46   0.36-0.47
+///   1024 x 12      0.02      0.48-0.70   0.60-0.72   0.62-0.78   0.73-0.91
+///                  0.05      0.40-0.50   0.44-0.51   0.48-0.56   0.50-0.62
+///                  0.10      0.27-0.34   0.33-0.38   0.35-0.39   0.37-0.43
+///   4096 x 24      0.02      0.33-0.44   0.44-0.53   0.48-0.58   0.50-0.64
+///                  0.05      0.28-0.35   0.32-0.39   0.34-0.43   0.36-0.46
+///                  0.10      0.20-0.26   0.23-0.28   0.24-0.30   0.24-0.32
 ///
-/// So at 0.05 the structured gather was faster in every case measured,
-/// while at 0.02 a batched 1024-wide layer was not.  Requests at input
-/// density 0.1 (serve-wire's) gather their live layers.
+/// The 4-lane form, which every other host runs, in the same runs:
+///
+///                  density   batch 1     batch 2     batch 4     batch 8
+///   1024 x 12      0.02      0.61-0.90   0.80-1.06   0.88-1.15   1.02-1.33
+///                  0.05      0.57-0.68   0.62-0.76   0.67-0.84   0.74-0.92
+///                  0.10      0.36-0.48   0.47-0.58   0.47-0.59   0.52-0.64
+///   4096 x 24      0.02      0.57-0.66   0.63-0.81   0.68-0.91   0.74-0.96
+///                  0.05      0.43-0.54   0.46-0.60   0.50-0.68   0.52-0.69
+///                  0.10      0.33-0.39   0.32-0.43   0.36-0.47   0.35-0.48
+///
+/// So at 0.05 both forms were faster than scatter in every case
+/// measured.  At 0.02 the 8-lane form still was, while the 4-lane form
+/// was not for a batched 1024-wide layer.  The threshold stays where
+/// both forms win; moving it toward the 8-lane crossover is a separate,
+/// measured change.  Requests at input density 0.1 (serve-wire's)
+/// gather their live layers.
 inline constexpr double kStructuredGatherDensityThreshold = 0.05;
 
 /// The workspace SparseDnn::prewarm should size ahead of the first

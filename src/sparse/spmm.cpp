@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <type_traits>
 
 #include "support/error.hpp"
 #include "support/parallel.hpp"
@@ -34,33 +35,48 @@ inline float epilogue(float v, float scale, float bias, float clamp) {
   return v;
 }
 
-// Four float lanes, and the lane mask their comparisons yield.  GCC and
-// Clang lower arithmetic, comparisons and ?: on these to packed SSE at
-// the baseline x86-64 ISA, with no intrinsics.  Kept at 16 bytes: a
-// 32-byte vector per 8-row block compiled, without AVX, to a stack
-// load-add-store per W^T entry.
+// Float lanes, and the lane masks their comparisons yield.  GCC and
+// Clang lower arithmetic, comparisons and ?: on these to packed SIMD
+// with no intrinsics.  Every host runs 16-byte vectors, packed SSE at
+// the baseline x86-64 ISA.  32-byte vectors run only inside
+// radix_rows_avx2, the one function compiled for AVX2: at the baseline
+// ISA a 32-byte vector compiles to pairs of 16-byte operations (the
+// 8-lane structured gather took 1.8-2.7x the 4-lane form's time that
+// way), and an 8-row CSR gather block to a stack load-add-store per W^T
+// entry.
 typedef float f32x4 __attribute__((vector_size(16)));
 typedef std::int32_t i32x4 __attribute__((vector_size(16)));
+typedef float f32x8 __attribute__((vector_size(32)));
 
-// A caller's pack is only float-aligned, so slices load through memcpy
-// (an unaligned packed load).
-inline f32x4 load_f32x4(const float* p) {
-  f32x4 v = {};
+// The float vector of L lanes, L = 4 or 8.
+template <int L>
+using f32xL = std::conditional_t<L == 8, f32x8, f32x4>;
+
+// The lane helpers below take vectors by reference and are always
+// inlined: no function takes or returns a 32-byte vector (its ABI
+// differs with and without AVX), and their 8-lane instantiations are
+// compiled inside radix_rows_avx2 rather than at the baseline ISA.
+
+// v = the lanes at p.  A caller's pack is only float-aligned, so slices
+// load through memcpy (an unaligned packed load).
+template <class V>
+[[gnu::always_inline]] inline void load_lanes(V& v, const float* p) {
   std::memcpy(&v, p, sizeof v);
-  return v;
 }
 
-// epilogue() on four lanes, bit for bit, with selects in place of its
+// epilogue() on every lane, bit for bit, with selects in place of its
 // branches.  The ReLU select keeps -0.0 and NaN lanes, as `v < 0` does.
 // A disabled clamp becomes a ceiling of +Inf, which no lane, NaN
 // included, compares greater than.
-inline f32x4 epilogue(f32x4 v, float scale, float bias, float clamp) {
+template <class V>
+[[gnu::always_inline]] inline void epilogue_lanes(V& v, float scale,
+                                                  float bias, float clamp) {
   const float top =
       clamp > 0.0f ? clamp : std::numeric_limits<float>::infinity();
-  const f32x4 zero = {}, ceiling = {top, top, top, top};
+  const V zero = {}, ceiling = zero + top;
   v = v * scale + bias;
   v = v < zero ? zero : v;
-  return v > ceiling ? ceiling : v;
+  v = v > ceiling ? ceiling : v;
 }
 
 // Shared body of the fused scatter kernels.  kUniform drops the
@@ -173,19 +189,21 @@ std::uint64_t csrT_fused_block(const float* x, index_t b0, index_t m,
       for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
         const float* xc = xp + static_cast<std::size_t>(colind[k]) * J;
         for (int q = 0; q < J / 4; ++q) {
+          f32x4 v = {};
+          load_lanes(v, xc + 4 * q);
           if constexpr (kUniform) {
-            acc[q] += load_f32x4(xc + 4 * q);
+            acc[q] += v;
           } else {
-            acc[q] += load_f32x4(xc + 4 * q) * vals[k];
+            acc[q] += v * vals[k];
           }
         }
       }
       i32x4 live = {};  // nonzero outputs per lane, at most J / 4
       for (int q = 0; q < J / 4; ++q) {
-        const f32x4 v = epilogue(acc[q], scale, bias, clamp);
-        live -= v != f32x4{};  // a true lane compares as -1
+        epilogue_lanes(acc[q], scale, bias, clamp);
+        live -= acc[q] != f32x4{};  // a true lane compares as -1
         for (int j = 0; j < 4; ++j) {
-          y[static_cast<std::size_t>(b0 + 4 * q + j) * n + r] = v[j];
+          y[static_cast<std::size_t>(b0 + 4 * q + j) * n + r] = acc[q][j];
         }
       }
       nz += static_cast<std::uint64_t>(live[0] + live[1] + live[2] +
@@ -272,63 +290,95 @@ std::uint64_t csrT_fused_impl(const float* x, index_t batch, index_t m,
       grain_for_cost(ops_per_tile));
 }
 
-// The structured gather kernel's outputs [c, c + 4Q) of wrap range k,
-// all in that range, on one batch row: Q 4-float accumulators, lane j
-// of acc[q] summing output c + 4q + j.  Input index i steps through the
-// range's ascending offsets (radix_layout.hpp): c - k*s up to c, then
-// c + N - (R-1)*s onward, each inside [0, N) for every output of the
-// range before it forms a pointer.
-template <int Q>
-std::uint64_t radix_vector_outputs(const float* xb, index_t c, index_t k,
-                                   const RadixLayout& l, float scale,
-                                   float* yb, float bias, float clamp) {
+// The structured gather kernel's outputs [c, c + Q*L) of wrap range k,
+// all in that range, on one batch row: Q accumulators of L float lanes,
+// lane j of acc[q] summing output c + L*q + j.  Input index i steps
+// through the range's ascending offsets (radix_layout.hpp): c - k*s up
+// to c, then c + N - (R-1)*s onward, each inside [0, N) for every
+// output of the range before it forms a pointer.
+template <int L, int Q>
+[[gnu::always_inline]] inline std::uint64_t radix_vector_outputs(
+    const float* xb, index_t c, index_t k, const RadixLayout& l,
+    float scale, float* yb, float bias, float clamp) {
+  using V = f32xL<L>;
+  static_assert(sizeof(V) == L * sizeof(float));
   const index_t s = l.stride;
-  f32x4 acc[Q] = {};
+  V acc[Q] = {};
+  V v = {};
   index_t i = c - k * s;
   for (index_t n = 0; n <= k; ++n, i += s) {
-    for (int q = 0; q < Q; ++q) acc[q] += load_f32x4(xb + i + 4 * q);
+    for (int q = 0; q < Q; ++q) {
+      load_lanes(v, xb + i + L * q);
+      acc[q] += v;
+    }
   }
   i = c + (l.width - (l.radix - 1) * s);
   for (index_t n = k + 1; n < l.radix; ++n, i += s) {
-    for (int q = 0; q < Q; ++q) acc[q] += load_f32x4(xb + i + 4 * q);
+    for (int q = 0; q < Q; ++q) {
+      load_lanes(v, xb + i + L * q);
+      acc[q] += v;
+    }
   }
-  i32x4 live = {};  // nonzero outputs per lane, at most Q
+  decltype(V{} != V{}) live = {};  // nonzero outputs per lane, at most Q
   for (int q = 0; q < Q; ++q) {
-    const f32x4 v = epilogue(acc[q], scale, bias, clamp);
-    live -= v != f32x4{};  // a true lane compares as -1
-    for (int j = 0; j < 4; ++j) yb[l.store[c + 4 * q + j]] = v[j];
+    epilogue_lanes(acc[q], scale, bias, clamp);
+    live -= acc[q] != V{};  // a true lane compares as -1
+    for (int j = 0; j < L; ++j) yb[l.store[c + L * q + j]] = acc[q][j];
   }
-  return static_cast<std::uint64_t>(live[0] + live[1] + live[2] + live[3]);
+  std::int32_t nz = 0;
+  for (int j = 0; j < L; ++j) nz += live[j];
+  return static_cast<std::uint64_t>(nz);
 }
 
-// One batch row of the structured gather kernel: each wrap range in
-// blocks of 16 outputs, then 4, then one at a time.
-std::uint64_t radix_row(const float* xb, const RadixLayout& l, float scale,
-                        float* yb, float bias, float clamp) {
+// Batch rows [b0, b1) of the structured gather kernel at L lanes: each
+// wrap range of each row in blocks of 4L outputs, then L, then one at a
+// time.
+template <int L>
+[[gnu::always_inline]] inline std::uint64_t radix_rows(
+    const float* x, index_t b0, index_t b1, const RadixLayout& l,
+    float scale, float* y, float bias, float clamp) {
   const index_t s = l.stride;
   std::uint64_t nz = 0;
-  for (index_t k = 0; k < l.radix; ++k) {
-    const index_t hi = k + 1 < l.radix ? (k + 1) * s : l.width;
-    index_t c = k * s;
-    for (; hi - c >= 16; c += 16) {
-      nz += radix_vector_outputs<4>(xb, c, k, l, scale, yb, bias, clamp);
-    }
-    for (; hi - c >= 4; c += 4) {
-      nz += radix_vector_outputs<1>(xb, c, k, l, scale, yb, bias, clamp);
-    }
-    for (; c < hi; ++c) {
-      float acc = 0.0f;
-      index_t i = c - k * s;
-      for (index_t n = 0; n <= k; ++n, i += s) acc += xb[i];
-      i = c + (l.width - (l.radix - 1) * s);
-      for (index_t n = k + 1; n < l.radix; ++n, i += s) acc += xb[i];
-      const float v = epilogue(acc, scale, bias, clamp);
-      yb[l.store[c]] = v;
-      nz += v != 0.0f ? 1 : 0;
+  for (index_t b = b0; b < b1; ++b) {
+    const auto row = static_cast<std::size_t>(b) * l.width;
+    const float* xb = x + row;
+    float* yb = y + row;
+    for (index_t k = 0; k < l.radix; ++k) {
+      const index_t hi = k + 1 < l.radix ? (k + 1) * s : l.width;
+      index_t c = k * s;
+      for (; hi - c >= 4 * L; c += 4 * L) {
+        nz += radix_vector_outputs<L, 4>(xb, c, k, l, scale, yb, bias,
+                                         clamp);
+      }
+      for (; hi - c >= L; c += L) {
+        nz += radix_vector_outputs<L, 1>(xb, c, k, l, scale, yb, bias,
+                                         clamp);
+      }
+      for (; c < hi; ++c) {
+        float acc = 0.0f;
+        index_t i = c - k * s;
+        for (index_t n = 0; n <= k; ++n, i += s) acc += xb[i];
+        i = c + (l.width - (l.radix - 1) * s);
+        for (index_t n = k + 1; n < l.radix; ++n, i += s) acc += xb[i];
+        const float v = epilogue(acc, scale, bias, clamp);
+        yb[l.store[c]] = v;
+        nz += v != 0.0f ? 1 : 0;
+      }
     }
   }
   return nz;
 }
+
+#if defined(__x86_64__) || defined(__i386__)
+// The 8-lane form, for CPUs whose AVX2 state the OS saves.  AVX2 alone:
+// a target that adds FMA would let the compiler fuse the epilogue's
+// `v * scale + bias` into one rounding and change bits.
+__attribute__((target("avx2"))) std::uint64_t radix_rows_avx2(
+    const float* x, index_t b0, index_t b1, const RadixLayout& l,
+    float scale, float* y, float bias, float clamp) {
+  return radix_rows<8>(x, b0, b1, l, scale, y, bias, clamp);
+}
+#endif
 
 // Per-call pack space for the overloads that take none: batch x m
 // floats, left uninitialized (every block writes its slice before
@@ -440,33 +490,58 @@ std::uint64_t spmm_dense_csrT_fused_uniform(const float* x, index_t batch,
                                        bias, clamp, pack.get());
 }
 
-std::uint64_t spmm_dense_radix_fused_uniform(const float* x, index_t batch,
-                                             const RadixLayout& layout,
-                                             float uniform_weight, float* y,
-                                             float bias, float clamp) {
-  const std::size_t n = layout.width;
+int structured_gather_lanes() {
+#if defined(__x86_64__) || defined(__i386__)
+  // __builtin_cpu_supports("avx2") also requires the OS to save YMM
+  // state.
+  static const int lanes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? 8 : 4;
+  }();
+  return lanes;
+#else
+  return 4;
+#endif
+}
+
+std::uint64_t spmm_dense_radix_fused_uniform_lanes(
+    int lanes, const float* x, index_t batch, const RadixLayout& layout,
+    float uniform_weight, float* y, float bias, float clamp) {
+  RADIX_REQUIRE(lanes == 4 || (lanes == 8 && structured_gather_lanes() == 8),
+                "spmm_dense_radix_fused_uniform: lanes must be 4, or 8 on "
+                "a CPU with AVX2");
   // Forks over tiles of kBatchTile rows, as the CSR arms do, so a batch
   // that fits one tile runs on the calling thread.  Each row adds R
   // inputs into each of N outputs.
   const std::int64_t ntiles =
       batch == 0 ? 0 : (batch + kBatchTile - 1) / kBatchTile;
   const std::int64_t ops_per_tile = static_cast<std::int64_t>(kBatchTile) *
-                                    static_cast<std::int64_t>(n) *
+                                    static_cast<std::int64_t>(layout.width) *
                                     (std::int64_t{layout.radix} + 1);
   return parallel_reduce_sum<std::uint64_t>(
       0, ntiles,
       [&](std::int64_t t) -> std::uint64_t {
         const index_t b0 = static_cast<index_t>(t) * kBatchTile;
         const index_t b1 = std::min(batch, b0 + kBatchTile);
-        std::uint64_t nz = 0;
-        for (index_t b = b0; b < b1; ++b) {
-          const auto row = static_cast<std::size_t>(b) * n;
-          nz += radix_row(x + row, layout, uniform_weight, y + row, bias,
-                          clamp);
+#if defined(__x86_64__) || defined(__i386__)
+        if (lanes == 8) {
+          return radix_rows_avx2(x, b0, b1, layout, uniform_weight, y, bias,
+                                 clamp);
         }
-        return nz;
+#endif
+        return radix_rows<4>(x, b0, b1, layout, uniform_weight, y, bias,
+                             clamp);
       },
       grain_for_cost(ops_per_tile));
+}
+
+std::uint64_t spmm_dense_radix_fused_uniform(const float* x, index_t batch,
+                                             const RadixLayout& layout,
+                                             float uniform_weight, float* y,
+                                             float bias, float clamp) {
+  return spmm_dense_radix_fused_uniform_lanes(structured_gather_lanes(), x,
+                                              batch, layout, uniform_weight,
+                                              y, bias, clamp);
 }
 
 // Placed after the kernels, so it shifts none of their code.

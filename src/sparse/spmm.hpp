@@ -121,12 +121,22 @@ std::uint64_t spmm_dense_csrT_fused_uniform(const float* x, index_t batch,
 /// (sparse/radix_layout.hpp): y[b x N] = epilogue(X[b x N] * W) for the
 /// layer whose layout is `layout`, reading no W arrays at all -- no
 /// transpose, no per-edge index.  Inside one wrap range every output
-/// reads its R inputs at the same offsets, so the kernel adds 4-float
-/// slices of the input row across 4 consecutive outputs (16 at a time
-/// in four accumulators; ranges or range tails shorter than 4 outputs
-/// go scalar) and stores each lane to y[b*N + layout.store[c]].  Each
-/// output sums from +0 in ascending input order, as the CSR arms do, so
-/// the result and the returned nonzero count are bit-identical to
+/// reads its R inputs at the same offsets, so the kernel adds L-float
+/// slices of the input row across L consecutive outputs and stores each
+/// lane to y[b*N + layout.store[c]].  It has two forms, and
+/// structured_gather_lanes() picks one for the whole process:
+///   * 8 lanes when __builtin_cpu_supports("avx2") holds, which also
+///     requires the OS to save the 32-byte registers: each wrap range
+///     in blocks of 32 outputs (four 8-float accumulators), then of 8,
+///     then one output at a time.  Only this form is compiled for AVX2.
+///   * 4 lanes on every other host, and on every non-x86 target: blocks
+///     of 16 outputs (four 4-float accumulators), then of 4, then one at
+///     a time.
+/// The AVX2 form enables no FMA: a fused multiply-add would round the
+/// epilogue's sum * uniform_weight + bias once where the other kernels
+/// round twice.  In both forms each output sums from +0 in ascending
+/// input order, as the CSR arms do, so the result and the returned
+/// nonzero count are bit-identical between the forms and to
 /// spmm_dense_csr_fused_uniform and spmm_dense_csrT_fused_uniform over
 /// the same layer (-0.0, NaN and Inf included).  Parallel over tiles of
 /// 8 batch rows, as the CSR arms are, so a batch of up to 8 rows never
@@ -135,6 +145,17 @@ std::uint64_t spmm_dense_radix_fused_uniform(const float* x, index_t batch,
                                              const RadixLayout& layout,
                                              float uniform_weight, float* y,
                                              float bias, float clamp);
+
+/// Lanes of the structured gather kernel's form in this process: 8 on
+/// an x86 CPU with AVX2 that the OS enables, else 4.
+int structured_gather_lanes();
+
+/// spmm_dense_radix_fused_uniform in a named form, so tests can hold
+/// both forms to the CSR arms on one host.  `lanes` is 4, or 8 when
+/// structured_gather_lanes() is 8; any other value throws SpecError.
+std::uint64_t spmm_dense_radix_fused_uniform_lanes(
+    int lanes, const float* x, index_t batch, const RadixLayout& layout,
+    float uniform_weight, float* y, float bias, float clamp);
 
 /// The value the fused scatter kernels above write to every output of a
 /// batch whose inputs are all zero (-0.0 counts as zero, NaN does not):

@@ -49,6 +49,10 @@ done
 [ -n "$PORT" ] || { cat "$SERVED_LOG"; echo "FAIL: no LISTENING line after 10s"; exit 1; }
 echo "radix-served up on port $PORT (pid $SERVED_PID)"
 
+# The start-up line naming the structured gather form: 8 lanes on an
+# AVX2 host, else 4.
+grep -Eq "^radix-served: structured gather lanes (4|8)$" "$SERVED_LOG" || { cat "$SERVED_LOG"; echo "FAIL: no structured gather lanes line"; exit 1; }
+
 # Liveness round trip.
 "$CTL" --port "$PORT" ping | grep -q pong
 

@@ -1,7 +1,8 @@
 // Mixed-radix layouts and the structured gather kernel: detection
 // accepts exactly the uniform RadiX-Net layers (outputs possibly
-// relabeled), the kernel is bit-exact against both CSR arms, and
-// SparseDnn routes gathers of such layers through it.
+// relabeled), both of the kernel's lane forms are bit-exact against
+// both CSR arms, and SparseDnn routes gathers of such layers through
+// it.
 #include "sparse/radix_layout.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "sparse/permutation.hpp"
 #include "sparse/spgemm.hpp"
 #include "sparse/spmm.hpp"
+#include "support/error.hpp"
 #include "support/random.hpp"
 
 namespace radix {
@@ -79,6 +82,30 @@ std::vector<Case> multiple_layers() {
   return out;
 }
 
+// Single mixed-radix layers whose wrap ranges (R - 1 of s outputs,
+// then N - (R-1)*s) take every block step of both lane forms: ranges of
+// 7, 8, 9, 31, 32, 33 and 47 outputs, each layer also with its outputs
+// relabeled.
+std::vector<Case> range_layers() {
+  std::vector<Case> out;
+  Rng rng(47);
+  for (const auto& [n, radix, stride] :
+       std::vector<std::tuple<index_t, std::uint32_t, index_t>>{
+           {47, 3, 7}, {55, 2, 8}, {40, 2, 9}, {65, 2, 32}}) {
+    const auto pattern = mrt_submatrix(n, radix, stride);
+    const std::string tag = "R " + std::to_string(radix) + ", s " +
+                            std::to_string(stride) + " on " +
+                            std::to_string(n);
+    out.push_back({tag, weighted(pattern)});
+    const auto p = rng.permutation(n);
+    out.push_back(
+        {tag + " shuffled",
+         weighted(spgemm_bool(pattern, permutation_matrix(std::vector<index_t>(
+                                           p.begin(), p.end()))))});
+  }
+  return out;
+}
+
 std::vector<float> random_dense(std::size_t n, Rng& rng) {
   std::vector<float> v(n);
   for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
@@ -97,11 +124,14 @@ void expect_same_bits(const std::vector<float>& got,
   }
 }
 
-// The structured kernel against both CSR arms, on the inputs of
-// Spmm.GatherPackBitExactAtEveryBlockStep: finite values with zeros;
-// NaN and +-Inf entries; and all-zero rows at weight -0.0625 and bias
-// -0.0, whose outputs are -0.0.
-void check_kernel(const Case& c, const std::vector<index_t>& batches) {
+// The structured kernel's `lanes` form against both CSR arms, on the
+// inputs of Spmm.GatherPackBitExactAtEveryBlockStep: finite values with
+// zeros, at the challenge weight and at 0.1, which is no power of two,
+// so a fused multiply-add in the epilogue would change bits; NaN and
+// +-Inf entries; and all-zero rows at weight -0.0625 and bias -0.0,
+// whose outputs are -0.0.
+void check_kernel(const Case& c, const std::vector<index_t>& batches,
+                  int lanes) {
   const auto layout = detect_radix_layout(c.layer);
   ASSERT_TRUE(layout.has_value()) << c.name;
   const index_t n = c.layer.rows();
@@ -119,8 +149,8 @@ void check_kernel(const Case& c, const std::vector<index_t>& batches) {
         x.data(), batch, n, c.layer, weight, scatter.data(), bias, clamp);
     const auto gather_nz = spmm_dense_csrT_fused_uniform(
         x.data(), batch, n, wt, weight, gather.data(), bias, clamp);
-    const auto nz = spmm_dense_radix_fused_uniform(
-        x.data(), batch, *layout, weight, got.data(), bias, clamp);
+    const auto nz = spmm_dense_radix_fused_uniform_lanes(
+        lanes, x.data(), batch, *layout, weight, got.data(), bias, clamp);
     EXPECT_EQ(nz, scatter_nz) << tag;
     EXPECT_EQ(nz, gather_nz) << tag;
     expect_same_bits(got, scatter, tag + " vs scatter");
@@ -128,10 +158,12 @@ void check_kernel(const Case& c, const std::vector<index_t>& batches) {
   };
 
   for (const index_t batch : batches) {
-    const std::string tag = c.name + ", batch " + std::to_string(batch);
+    const std::string tag = c.name + ", batch " + std::to_string(batch) +
+                            ", " + std::to_string(lanes) + " lanes";
     auto x = random_dense(static_cast<std::size_t>(batch) * n, rng);
     for (std::size_t i = 0; i < x.size(); i += 5) x[i] = 0.0f;
     run(x, batch, kWeight, 0.05f, tag);
+    run(x, batch, 0.1f, 0.05f, tag + " weight 0.1");
 
     // A row holds either NaN or infinities, never both: the sum of two
     // different NaNs may keep either payload.
@@ -192,20 +224,73 @@ TEST(RadixLayout, DetectsChallengeLayers) {
   }
 }
 
-TEST(RadixLayout, KernelBitExactOnMultipleLayouts) {
-  for (const auto& c : multiple_layers()) check_kernel(c, every_block_step());
-}
+// The kernel tests run once per lane form.  The 8-lane form runs only on
+// a CPU with AVX2, and elsewhere its tests report themselves skipped.
+class RadixKernel : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (GetParam() > structured_gather_lanes()) {
+      GTEST_SKIP() << "the " << GetParam()
+                   << "-lane form needs AVX2, which this CPU lacks";
+    }
+  }
+};
 
-TEST(RadixLayout, KernelBitExactOnChallengeLayers1024) {
-  for (const auto& c : challenge_layers(1024)) {
-    check_kernel(c, every_block_step());
+TEST_P(RadixKernel, BitExactOnMultipleLayouts) {
+  for (const auto& c : multiple_layers()) {
+    check_kernel(c, every_block_step(), GetParam());
   }
 }
 
-TEST(RadixLayout, KernelBitExactOnChallengeLayers4096) {
+TEST_P(RadixKernel, BitExactAtEveryRangeStep) {
+  for (const auto& c : range_layers()) {
+    check_kernel(c, every_block_step(), GetParam());
+  }
+}
+
+TEST_P(RadixKernel, BitExactOnChallengeLayers1024) {
+  for (const auto& c : challenge_layers(1024)) {
+    check_kernel(c, every_block_step(), GetParam());
+  }
+}
+
+TEST_P(RadixKernel, BitExactOnChallengeLayers4096) {
   // The batch ladder above runs at 1024; the kernel treats every batch
   // row alike, so 4096 runs one size per kind of block step.
-  for (const auto& c : challenge_layers(4096)) check_kernel(c, {1, 5, 64});
+  for (const auto& c : challenge_layers(4096)) {
+    check_kernel(c, {1, 5, 64}, GetParam());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, RadixKernel, ::testing::Values(4, 8),
+                         [](const auto& param_info) {
+                           return std::to_string(param_info.param);
+                         });
+
+TEST(RadixLayout, LanesFollowTheCpu) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  EXPECT_EQ(structured_gather_lanes(),
+            __builtin_cpu_supports("avx2") ? 8 : 4);
+#else
+  EXPECT_EQ(structured_gather_lanes(), 4);
+#endif
+}
+
+TEST(RadixLayout, KernelRejectsOtherLaneCounts) {
+  const Case c = range_layers().front();
+  const auto layout = detect_radix_layout(c.layer);
+  ASSERT_TRUE(layout.has_value());
+  std::vector<float> x(c.layer.rows(), 1.0f), y(c.layer.rows());
+  std::vector<int> bad = {0, 2, 16};
+  if (structured_gather_lanes() == 4) bad.push_back(8);
+  for (const int lanes : bad) {
+    EXPECT_THROW((void)spmm_dense_radix_fused_uniform_lanes(
+                     lanes, x.data(), 1, *layout, kWeight, y.data(), 0.0f,
+                     0.0f),
+                 SpecError)
+        << lanes;
+  }
 }
 
 // Forced scatter, forced gather and auto dispatch must agree bitwise; a

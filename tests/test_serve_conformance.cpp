@@ -31,6 +31,7 @@
 #include "net/server.hpp"
 #include "radixnet/graph_challenge.hpp"
 #include "serve/client.hpp"
+#include "serve/fault.hpp"
 #include "serve/router.hpp"
 #include "support/random.hpp"
 
@@ -240,8 +241,13 @@ TEST_P(BackendConformance, ShutdownDrainsAdmittedThenRejectsAsValue) {
 }
 
 TEST_P(BackendConformance, FailFastOnFullQueueRejectsAsValue) {
-  // Deep model, one worker, tiny queue: saturate, then fail-fast.
-  Stack s = make_stack(GetParam(), {.workers = 1, .queue_capacity = 2});
+  // One worker per shard and a tiny queue.  The injected latency parks
+  // each worker on its first batch, so nothing drains until cancel():
+  // the queue fills however fast the forward runs, and fail-fast must
+  // reject.  The injector outlives the stack, as engines require.
+  FaultInjector park({.added_latency = std::chrono::minutes(10)});
+  Stack s = make_stack(GetParam(),
+                       {.workers = 1, .queue_capacity = 2, .fault = &park});
   Rng irng(94);
   const auto big = gc::synthetic_input(64, 1024, 0.4, irng);
   std::vector<std::future<std::vector<float>>> admitted;
@@ -265,6 +271,7 @@ TEST_P(BackendConformance, FailFastOnFullQueueRejectsAsValue) {
       rejected = true;
     }
   }
+  park.cancel();
   EXPECT_TRUE(rejected) << "kFailFast must reject against a full queue";
   for (auto& f : admitted) (void)f.get();
 }

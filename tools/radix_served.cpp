@@ -2,8 +2,10 @@
 //
 // Builds a Graph-Challenge model fleet, stands a ShardRouter of
 // --shards engines behind the epoll front-end (net/server.hpp), prints
-// "LISTENING <port>" once the socket is bound (scripts parse that line
-// -- with --port 0 it is the only way to learn the ephemeral port), and
+// the structured gather kernel's lane count ("radix-served: structured
+// gather lanes 8" on an AVX2 host, else 4), then "LISTENING <port>" once
+// the socket is bound (scripts parse that line -- with --port 0 it is
+// the only way to learn the ephemeral port), and
 // serves until radix-ctl sends the shutdown verb (or SIGTERM/SIGINT
 // arrives).  --shards 1 is a one-shard fleet, not a different backend:
 // `drain 0` takes it out of rotation, and `kill 0` / `restart 0` work
@@ -40,6 +42,7 @@
 #include "net/server.hpp"
 #include "radixnet/graph_challenge.hpp"
 #include "serve/router.hpp"
+#include "sparse/spmm.hpp"
 #include "store/artifact.hpp"
 #include "store/journal.hpp"
 #include "support/args.hpp"
@@ -169,6 +172,8 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
 
+    std::printf("radix-served: structured gather lanes %d\n",
+                structured_gather_lanes());
     std::printf("LISTENING %u\n", static_cast<unsigned>(server.port()));
     std::fflush(stdout);
 
