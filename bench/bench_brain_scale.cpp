@@ -14,11 +14,8 @@
 // *analyzed*, not built, and the BigUInt arithmetic that replaces
 // construction is what gets timed.
 //
-// Historical note: until PR 3 this file was an untimed correctness
-// reproduction printing the same two tiers as tables (see git history);
-// the numbers it printed are now counters on the timed benchmarks, and
-// scripts/record_bench_baseline.py snapshots them alongside the other
-// Google Benchmark harnesses.
+// Each tier's density and storage figures are counters on its timed
+// benchmark (`--benchmark_format=json` carries them).
 #include <benchmark/benchmark.h>
 
 #include <cmath>

@@ -19,10 +19,9 @@
 // The timed body is the damage analysis itself (drop_edges +
 // connected_pair_fraction over kSeeds seeds) and each run reports the
 // mean `survival` fraction as a counter, so the scientific content of
-// the old table rides the JSON output.  scripts/record_bench_baseline.py
-// derives the E16 headline from the counters: RadiX-Net survival at 50%
-// edge loss must stay at or above the ER control's (the old binary's
-// exit-code check, now recorded instead of asserted).
+// the old table rides the JSON output.  The E16 headline reads off the
+// counters: RadiX-Net survival at 50% edge loss at or above the ER
+// control's.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

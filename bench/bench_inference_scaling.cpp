@@ -13,9 +13,8 @@
 //       epilogue, batch tiling, adaptive scatter/gather dispatch.
 //
 // items_per_second is the challenge metric: edges processed per second
-// = batch * sum_k nnz(W_k) / wall.  scripts/record_bench_baseline.py
-// snapshots both paths into BENCH_*.json; scripts/check_perf_smoke.py
-// gates CI on fused >= reference.
+// = batch * sum_k nnz(W_k) / wall.  scripts/check_perf_smoke.py gates
+// CI on fused >= reference.
 //
 // Args: {neurons, layers, batch}.  Depths obey each width's preset
 // period (2 for 1024, 3 for 4096).

@@ -1,22 +1,16 @@
-// Model-store load-path benchmarks (store/artifact.hpp).
+// Model-store load-path benchmark (store/artifact.hpp).
 //
-// Three ways to get the same Graph-Challenge model from disk into a
-// ready SparseDnn, measured end to end:
+// Two ways to get the same Graph-Challenge model from disk into a ready
+// SparseDnn, measured end to end:
 //
 //   BM_StoreLoadMmap -- RADIXART full-CSR artifact: mmap + validate +
 //       zero-copy views (no deserialize pass; the only per-load heap
 //       work is the section table and the view vector).
 //   BM_StoreLoadTsv  -- the legacy path: parse the TSV layer stack,
 //       apply weights, build owned CSR layers.
-//   BM_StoreLoadSpec -- spec-only artifact: a few hundred bytes on
-//       disk, topology regenerated through radixnet::builder.
 //
-// BM_StoreColdStart adds the first inference on top of the mmap load:
-// the daemon-restart metric (cold start to first response).
-//
-// scripts/record_bench_baseline.py snapshots these into the store_load
-// section (schema v9); scripts/check_perf_smoke.py gates mmap load at
-// >= 10x the TSV parse at equal depth.  Arg: {layers}.
+// scripts/check_perf_smoke.py gates mmap load at >= 10x the TSV parse at
+// equal depth.  Arg: {layers}.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -31,20 +25,16 @@
 #include "radixnet/graph_challenge.hpp"
 #include "sparse/io.hpp"
 #include "store/artifact.hpp"
-#include "support/random.hpp"
 
 namespace radix {
 namespace {
 
 constexpr index_t kNeurons = 1024;
-constexpr index_t kRows = 4;
 
 struct StoreFiles {
-  std::string artifact;       // full-CSR RADIXART
-  std::string spec_artifact;  // spec-only RADIXART
-  std::string tsv_prefix;     // TSV layer stack
+  std::string artifact;    // full-CSR RADIXART
+  std::string tsv_prefix;  // TSV layer stack
   std::uint64_t artifact_bytes = 0;
-  std::uint64_t spec_bytes = 0;
 };
 
 // One on-disk copy of each format per depth, written once per process
@@ -65,8 +55,8 @@ const StoreFiles& files_for(std::size_t layers) {
     return d;
   }();
 
-  // Plain (unshuffled) network so the spec-only variant regenerates the
-  // exact same model the full-CSR artifact carries.
+  // Plain (unshuffled) network: the TSV stack is written from the
+  // unshuffled topology, so both formats carry the same model.
   const gc::Network net = gc::network(kNeurons, layers, nullptr);
   const infer::SparseDnn dnn(net.layers, net.bias, gc::kClamp);
 
@@ -75,12 +65,6 @@ const StoreFiles& files_for(std::size_t layers) {
   f.artifact = stem + ".radixart";
   store::save_artifact(f.artifact, dnn, "bench");
   f.artifact_bytes = store::ArtifactReader(f.artifact).file_size();
-
-  f.spec_artifact = stem + "_spec.radixart";
-  const std::vector<float> weights(layers, gc::kWeight);
-  store::save_spec_artifact(f.spec_artifact, gc::spec(kNeurons, layers),
-                            weights, dnn.biases(), gc::kClamp, "bench");
-  f.spec_bytes = store::ArtifactReader(f.spec_artifact).file_size();
 
   f.tsv_prefix = stem + "_tsv";
   write_layer_stack(f.tsv_prefix, gc::topology(kNeurons, layers).layers());
@@ -121,34 +105,6 @@ void BM_StoreLoadTsv(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StoreLoadTsv)->Arg(12)->Arg(24)->Unit(benchmark::kMicrosecond);
-
-void BM_StoreLoadSpec(benchmark::State& state) {
-  const StoreFiles& f = files_for(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    store::ArtifactReader reader(f.spec_artifact);
-    infer::SparseDnn dnn = reader.instantiate();
-    benchmark::DoNotOptimize(dnn.total_nnz());
-  }
-  state.counters["artifact_bytes"] = static_cast<double>(f.spec_bytes);
-}
-BENCHMARK(BM_StoreLoadSpec)->Arg(12)->Arg(24)->Unit(benchmark::kMicrosecond);
-
-void BM_StoreColdStart(benchmark::State& state) {
-  // Daemon-restart latency: mmap load, construction (which builds each
-  // layer's gather structure) and the first forward pass (which sizes
-  // its workspace).
-  const StoreFiles& f = files_for(static_cast<std::size_t>(state.range(0)));
-  Rng rng(5);
-  const std::vector<float> input =
-      gc::synthetic_input(kRows, kNeurons, 0.4, rng);
-  for (auto _ : state) {
-    store::ArtifactReader reader(f.artifact);
-    infer::SparseDnn dnn = reader.instantiate();
-    const std::vector<float> y = dnn.forward(input, kRows);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_StoreColdStart)->Arg(12)->Arg(24)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace radix

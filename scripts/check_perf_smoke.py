@@ -12,16 +12,16 @@ only two invariants that must hold on any host:
     the job; the fused path measures 2-4x on a quiet host, so a geomean
     under 0.9 is a genuine regression, not noise).
 
-When bench_overload is present, its overload-robustness shape is gated
-too: interactive traffic is never shed at any offered load, and at 2x
-the calibrated saturating rate the background shed rate is nonzero
-while the interactive p99 stays within the SLO bound -- the PR-7
-policy invariants, which the injected service floor makes host-
-independent.  The PR-9 sweeps ride the same gate: the grey-failure arm
-(BM_ServeOverloadGrey, one unreliable shard) additionally requires the
-router's merged error count to equal the per-shard sum exactly, and
-the diurnal arm (BM_ServeOverloadDiurnal) holds the same never-shed-
-interactive policy under a sinusoidal offered rate.
+When bench_serving is present (it is skipped only when Google Benchmark
+is unavailable), its three closed-loop families are gated too: each
+run must report edges/sec > 0 and the batching counters
+(mean_batch_rows, e2e_p95_us), and every traced run must record trace
+events.  Tracing must hold >= 0.95x of untraced closed-loop throughput
+(geomean across thread counts), and at 32 closed-loop clients the
+remote sweep over the loopback wire protocol must hold >= 0.5x of the
+in-process run of identical shape (batching amortizes the socket cost;
+falling under half in-process throughput means the front-end, not the
+host, is the bottleneck).
 
 When bench_store is present, the model-store load path is gated: the
 RADIXART mmap load must be >= 10x faster than the legacy TSV parse of
@@ -29,20 +29,9 @@ the same model at every benchmarked depth (the mmap path validates
 checksums but never deserializes, so losing that margin means the
 zero-copy path started copying).
 
-When bench_serving is present (it is skipped only when Google Benchmark
-is unavailable), its output *shape* is sanity-checked too: the direct,
-closed-loop, latency, QoS and sharded-router benchmarks must all be
-present, report edges/sec > 0, the closed-loop runs must expose the
-batching counters (mean_batch_rows, e2e_p95_us), and the sharded runs
-(shards 1/2/4) must expose a sane busiest_shard_share in (0, 1].  The
-networked front-end IS gated: at 32 closed-loop clients the remote
-sweep over the loopback wire protocol must hold >= 0.5x of the
-in-process run of identical shape (batching amortizes the socket cost;
-falling under half in-process throughput means the front-end, not the
-host, is the bottleneck).  No other serving throughput or
-shard-scaling ratio is gated here -- shared CI runners are 1-2 cores
-and the saturation behavior is machine-specific; the ratios are
-tracked by scripts/record_bench_baseline.py snapshots instead.
+Last, the serving example's --metrics --trace output must carry the
+documented exposition series, the JSON dump and a reconstructed trace
+timeline.
 
 Usage: python3 scripts/check_perf_smoke.py [--build-dir build]
 """
@@ -78,8 +67,7 @@ MIN_STORE_MMAP_RATIO = 10.0
 def fused_reference_ratios(rates):
     """Pair BM_InferFused/<config> with BM_InferReference/<config> and
     return {config: fused/reference}; a fused entry whose reference
-    counterpart is missing or zero maps to None.  Shared with
-    record_bench_baseline.py so the pairing cannot drift.
+    counterpart is missing or zero maps to None.
     """
     ratios = {}
     for name, fused in rates.items():
@@ -95,8 +83,7 @@ def traced_untraced_ratios(rates):
     """Pair BM_ServeClosedLoopTraced/<shape> with BM_ServeClosedLoop/
     <shape> (same args and thread count) and return {shape:
     traced/untraced}; a traced entry whose untraced counterpart is
-    missing or zero maps to None.  Shared with record_bench_baseline.py
-    so the pairing cannot drift."""
+    missing or zero maps to None."""
     ratios = {}
     for name, traced in rates.items():
         if not name.startswith("BM_ServeClosedLoopTraced/"):
@@ -111,8 +98,7 @@ def remote_inprocess_ratios(rates):
     """Pair BM_ServeRemoteClosedLoop/<shape> with BM_ServeClosedLoop/
     <shape> (same args and thread count) and return {shape:
     remote/in-process}; a remote entry whose in-process counterpart is
-    missing or zero maps to None.  Shared with record_bench_baseline.py
-    so the pairing cannot drift."""
+    missing or zero maps to None."""
     ratios = {}
     for name, remote in rates.items():
         if not name.startswith("BM_ServeRemoteClosedLoop/"):
@@ -127,8 +113,7 @@ def store_mmap_over_tsv(times):
     """Pair BM_StoreLoadMmap/<depth> with BM_StoreLoadTsv/<depth> (same
     model on disk in each format) and return {depth: tsv_time /
     mmap_time} -- the mmap path's load speedup; a mmap entry whose TSV
-    counterpart is missing or zero-time maps to None.  Shared with
-    record_bench_baseline.py so the pairing cannot drift."""
+    counterpart is missing or zero-time maps to None."""
     ratios = {}
     for name, mmap_time in times.items():
         if not name.startswith("BM_StoreLoadMmap/"):
@@ -143,8 +128,7 @@ def store_mmap_over_tsv(times):
 def check_store_shape(build_dir: str, min_time: str) -> int:
     """Run bench_store briefly and gate the model-store load path: the
     mmap artifact load must be >= 10x faster than the legacy TSV parse
-    at every depth, and the spec-only and cold-start arms must be
-    present.  A missing binary (benchmarks disabled) is a skip."""
+    at every depth.  A missing binary (benchmarks disabled) is a skip."""
     exe = os.path.join(build_dir, "bench", "bench_store")
     if not os.path.isfile(exe):
         print("note: bench_store not built; skipping store load check")
@@ -157,8 +141,7 @@ def check_store_shape(build_dir: str, min_time: str) -> int:
 
     times = {b["name"]: b.get("real_time", 0.0)
              for b in data["benchmarks"]}
-    for family in ("BM_StoreLoadMmap", "BM_StoreLoadTsv",
-                   "BM_StoreLoadSpec", "BM_StoreColdStart"):
+    for family in ("BM_StoreLoadMmap", "BM_StoreLoadTsv"):
         if not any(n.startswith(family + "/") for n in times):
             print(f"FAIL: bench_store produced no {family} runs")
             return 1
@@ -191,11 +174,8 @@ def check_serving_shape(build_dir: str, min_time: str) -> int:
         capture_output=True, text=True, check=True)
     data = json.loads(out.stdout)
 
-    seen = {"BM_ServeDirect": 0, "BM_ServeClosedLoop": 0,
-            "BM_ServeClosedLoopTraced": 0, "BM_ServeRemoteClosedLoop": 0,
-            "BM_ServeLatencyVsDelay": 0, "BM_ServeInteractiveSolo": 0,
-            "BM_ServeBatchOnly": 0, "BM_ServeMixedQoS": 0,
-            "BM_ServeSharded": 0, "BM_ServeFailover": 0}
+    seen = {"BM_ServeClosedLoop": 0, "BM_ServeClosedLoopTraced": 0,
+            "BM_ServeRemoteClosedLoop": 0}
     rates = {}
     for b in data["benchmarks"]:
         family = b["name"].split("/", 1)[0]
@@ -203,8 +183,7 @@ def check_serving_shape(build_dir: str, min_time: str) -> int:
             continue
         seen[family] += 1
         rates[b["name"]] = b.get("items_per_second", 0.0)
-        if b.get("items_per_second", 0.0) <= 0.0 and family != \
-                "BM_ServeLatencyVsDelay":
+        if b.get("items_per_second", 0.0) <= 0.0:
             print(f"FAIL: {b['name']} reports no edges/sec")
             return 1
         if family in ("BM_ServeClosedLoop", "BM_ServeClosedLoopTraced",
@@ -217,27 +196,6 @@ def check_serving_shape(build_dir: str, min_time: str) -> int:
                 b.get("trace_events", 0.0) <= 0.0:
             print(f"FAIL: {b['name']} recorded no trace events")
             return 1
-        if family in ("BM_ServeInteractiveSolo", "BM_ServeMixedQoS") and \
-                b.get("interactive_p99_us", 0.0) <= 0.0:
-            print(f"FAIL: {b['name']} missing counter interactive_p99_us")
-            return 1
-        if family == "BM_ServeSharded":
-            share = b.get("busiest_shard_share", 0.0)
-            if not 0.0 < share <= 1.0:
-                print(f"FAIL: {b['name']} busiest_shard_share {share} "
-                      "not in (0, 1]")
-                return 1
-        if family == "BM_ServeFailover":
-            # The chaos thread must have actually churned shards AND the
-            # kills must have moved queued work (failovers is allowed to
-            # be zero only if a short sample produced zero kills).
-            kills = b.get("kills", 0.0)
-            if kills <= 0.0:
-                print(f"FAIL: {b['name']} reports no shard kills")
-                return 1
-            if "failovers" not in b:
-                print(f"FAIL: {b['name']} missing counter failovers")
-                return 1
     missing = [f for f, n in seen.items() if n == 0]
     if missing:
         print(f"FAIL: bench_serving produced no runs for {missing}")
@@ -294,79 +252,6 @@ def check_serving_shape(build_dir: str, min_time: str) -> int:
             return 1
 
     print(f"serving shape OK ({sum(seen.values())} benchmark runs)")
-    return 0
-
-
-def check_overload_shape(build_dir: str) -> int:
-    """Run bench_overload briefly and validate the overload robustness
-    shape (PR 7): both sweeps present at loads 50/100/200, interactive
-    NEVER shed at any load, and at 200% of the calibrated saturating
-    rate the background shed rate is nonzero while the interactive p99
-    stays within the reported SLO bound.  These are policy invariants,
-    not throughput numbers -- the injected service floor makes them hold
-    on any host.  A missing binary (benchmarks disabled) is a skip."""
-    exe = os.path.join(build_dir, "bench", "bench_overload")
-    if not os.path.isfile(exe):
-        print("note: bench_overload not built; skipping overload shape check")
-        return 0
-    out = subprocess.run(
-        [exe, "--benchmark_format=json", "--benchmark_min_time=0.05"],
-        capture_output=True, text=True, check=True)
-    data = json.loads(out.stdout)
-
-    seen = {"BM_ServeOverload": set(), "BM_ServeOverloadFaulty": set(),
-            "BM_ServeOverloadGrey": set(), "BM_ServeOverloadDiurnal": set()}
-    for b in data["benchmarks"]:
-        parts = b["name"].split("/")
-        family = parts[0]
-        if family not in seen:
-            continue
-        load_pct = int(parts[1])
-        seen[family].add(load_pct)
-        if family == "BM_ServeOverloadGrey":
-            # Grey-failure exactness: the router's merged error count
-            # must equal the per-shard sum -- no double-counting through
-            # the merge or the failover path (pinned by test_serve_grey;
-            # cross-checked here under real overload traffic).
-            merged = b.get("merged_errors", -1.0)
-            shard_sum = b.get("shard_error_sum", -2.0)
-            if merged != shard_sum:
-                print(f"FAIL: {b['name']} merged_errors {merged} != "
-                      f"shard_error_sum {shard_sum} -- error merge must "
-                      "be exact")
-                return 1
-            if "grey_failures" not in b:
-                print(f"FAIL: {b['name']} missing counter grey_failures")
-                return 1
-        if b.get("interactive_shed", -1.0) != 0.0:
-            print(f"FAIL: {b['name']} shed interactive requests "
-                  f"({b.get('interactive_shed')}) -- pressure must shed "
-                  "background first")
-            return 1
-        p99 = b.get("interactive_p99_us", 0.0)
-        slo = b.get("slo_us", 0.0)
-        if not 0.0 < p99 <= slo:
-            print(f"FAIL: {b['name']} interactive p99 {p99}us outside "
-                  f"(0, slo={slo}us] -- overload must not be paid in "
-                  "interactive latency")
-            return 1
-        attainment = b.get("interactive_attainment", 0.0)
-        if not 0.0 < attainment <= 1.0:
-            print(f"FAIL: {b['name']} interactive_attainment {attainment} "
-                  "not in (0, 1]")
-            return 1
-        if load_pct == 200 and b.get("bg_shed_rate", 0.0) <= 0.0:
-            print(f"FAIL: {b['name']} reports no background shedding at "
-                  "2x saturating load -- bounded queues must shed")
-            return 1
-    for family, loads in seen.items():
-        missing = {50, 100, 200} - loads
-        if missing:
-            print(f"FAIL: bench_overload produced no {family} runs for "
-                  f"loads {sorted(missing)}")
-            return 1
-    print("overload shape OK (interactive never shed; background sheds "
-          "at 2x load)")
     return 0
 
 
@@ -476,8 +361,6 @@ def main() -> int:
         return 1
 
     if check_serving_shape(args.build_dir, args.min_time) != 0:
-        return 1
-    if check_overload_shape(args.build_dir) != 0:
         return 1
     if check_store_shape(args.build_dir, args.min_time) != 0:
         return 1

@@ -64,7 +64,6 @@ class InferenceWorkspace {
   /// Pin every layer to one kernel arm (tests / benchmarking); kAuto
   /// restores the density heuristic.
   void force_kernel(Kernel k) noexcept { forced_ = k; }
-  Kernel forced_kernel() const noexcept { return forced_; }
 
   /// Dispatch trace of the most recent forward pass (one entry per
   /// layer, front == first layer).

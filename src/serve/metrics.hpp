@@ -73,8 +73,6 @@ class MetricsRegistry {
   /// or exact label set is absent.  Test/assertion helper.
   const double* find(std::string_view name, const MetricLabels& labels) const;
 
-  std::size_t num_families() const noexcept { return families_.size(); }
-
  private:
   struct Series {
     MetricLabels labels;

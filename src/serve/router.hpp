@@ -90,8 +90,7 @@
 // engine would merge into a single 32-row batch lands on N shards as N
 // smaller batches, so lightly loaded routers batch worse than a single
 // engine -- the router pays off when offered load saturates more
-// workers than one engine's lock can feed (see bench_serving's
-// BM_ServeSharded sweep).
+// workers than one engine's lock can feed.
 #pragma once
 
 #include <atomic>
@@ -257,7 +256,7 @@ class ShardRouter final : public Backend {
 
   /// The merge of stats(m) over every registry id of class `p`, removed
   /// ids included -- so it carries killed shards' history exactly as
-  /// stats() does.  The overload harness reads interactive vs
+  /// stats() does.  The overload tests read interactive vs
   /// background shed counts through this.
   ServeStats class_stats(Priority p) const;
 

@@ -1,7 +1,9 @@
 // Compressed Sparse Row matrix.
 //
 // The canonical computational format of the library.  Invariants
-// (enforced by from_coo and checked by check_invariants):
+// (enforced by from_coo and checked by check_csr_arrays, which both
+// Csr::check_invariants and the zero-copy view's check_view_invariants
+// run):
 //   * rowptr has rows+1 entries, rowptr[0] == 0, non-decreasing;
 //   * column indices within each row are strictly increasing (sorted,
 //     no duplicates) and < cols;
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "sparse/coo.hpp"
@@ -23,6 +26,36 @@
 #include "support/error.hpp"
 
 namespace radix {
+
+/// Validate the CSR invariants of raw arrays, calling `fail(message)`
+/// (which must throw) on the first violation: rowptr has rows+1 entries
+/// starting at 0 and ending at nnz, non-decreasing, each entry bounded
+/// by nnz before its row is read; column indices strictly increasing
+/// within each row and < cols; `num_values` == nnz.
+template <typename FailFn>
+void check_csr_arrays(index_t rows, index_t cols,
+                      std::span<const offset_t> rowptr,
+                      std::span<const index_t> colind, std::size_t num_values,
+                      FailFn&& fail) {
+  if (rowptr.size() != static_cast<std::size_t>(rows) + 1) {
+    fail("rowptr size != rows + 1");
+  }
+  if (rowptr.front() != 0) fail("rowptr[0] != 0");
+  if (rowptr.back() != colind.size()) fail("rowptr back != nnz");
+  if (colind.size() != num_values) fail("colind/values size mismatch");
+  for (index_t r = 0; r < rows; ++r) {
+    if (rowptr[r] > rowptr[r + 1]) fail("rowptr not monotone");
+    // Bound the row before its loop reads colind: monotonicity alone
+    // lets an interior entry run past nnz.
+    if (rowptr[r + 1] > colind.size()) fail("rowptr entry past nnz");
+    for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
+      if (colind[k] >= cols) fail("column index out of range");
+      if (k > rowptr[r] && colind[k - 1] >= colind[k]) {
+        fail("columns not strictly increasing within row");
+      }
+    }
+  }
+}
 
 template <typename T>
 class Csr {
@@ -242,46 +275,41 @@ Csr<T> Csr<T>::ones(index_t rows, index_t cols, T one_value) {
              std::move(val));
 }
 
+/// Transpose raw CSR arrays into an owning matrix (CSC reinterpreted as
+/// CSR); Csr::transpose and CsrFloatView::transpose both run it.
 template <typename T>
-Csr<T> Csr<T>::transpose() const {
-  std::vector<offset_t> rowptr(static_cast<std::size_t>(cols_) + 1, 0);
-  for (index_t c : colind_) ++rowptr[c + 1];
-  for (index_t c = 0; c < cols_; ++c) rowptr[c + 1] += rowptr[c];
-  std::vector<index_t> colind(nnz());
-  std::vector<T> val(nnz());
-  std::vector<offset_t> cursor(rowptr.begin(), rowptr.end() - 1);
-  for (index_t r = 0; r < rows_; ++r) {
-    for (offset_t k = rowptr_[r]; k < rowptr_[r + 1]; ++k) {
-      const offset_t dst = cursor[colind_[k]]++;
-      colind[dst] = r;
-      val[dst] = val_[k];
+Csr<T> transpose_csr_arrays(index_t rows, index_t cols,
+                            std::span<const offset_t> rowptr,
+                            std::span<const index_t> colind,
+                            std::span<const T> val) {
+  std::vector<offset_t> t_rowptr(static_cast<std::size_t>(cols) + 1, 0);
+  for (index_t c : colind) ++t_rowptr[c + 1];
+  for (index_t c = 0; c < cols; ++c) t_rowptr[c + 1] += t_rowptr[c];
+  std::vector<index_t> t_colind(colind.size());
+  std::vector<T> t_val(colind.size());
+  std::vector<offset_t> cursor(t_rowptr.begin(), t_rowptr.end() - 1);
+  for (index_t r = 0; r < rows; ++r) {
+    for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
+      const offset_t dst = cursor[colind[k]]++;
+      t_colind[dst] = r;
+      t_val[dst] = val[k];
     }
   }
-  return Csr(cols_, rows_, std::move(rowptr), std::move(colind),
-             std::move(val));
+  return Csr<T>(cols, rows, std::move(t_rowptr), std::move(t_colind),
+                std::move(t_val));
+}
+
+template <typename T>
+Csr<T> Csr<T>::transpose() const {
+  return transpose_csr_arrays<T>(rows_, cols_, rowptr_, colind_, val_);
 }
 
 template <typename T>
 void Csr<T>::check_invariants() const {
-  RADIX_ASSERT(rowptr_.size() == static_cast<std::size_t>(rows_) + 1,
-               "Csr: rowptr size mismatch");
-  RADIX_ASSERT(rowptr_.front() == 0, "Csr: rowptr[0] != 0");
-  RADIX_ASSERT(rowptr_.back() == colind_.size(),
-               "Csr: rowptr back != nnz");
-  RADIX_ASSERT(colind_.size() == val_.size(),
-               "Csr: colind/val size mismatch");
-  for (index_t r = 0; r < rows_; ++r) {
-    RADIX_ASSERT(rowptr_[r] <= rowptr_[r + 1], "Csr: rowptr not monotone");
-    RADIX_ASSERT(rowptr_[r + 1] <= colind_.size(),
-                 "Csr: rowptr entry past nnz");
-    for (offset_t k = rowptr_[r]; k < rowptr_[r + 1]; ++k) {
-      RADIX_ASSERT(colind_[k] < cols_, "Csr: column index out of range");
-      if (k > rowptr_[r]) {
-        RADIX_ASSERT(colind_[k - 1] < colind_[k],
-                     "Csr: columns not strictly increasing within row");
-      }
-    }
-  }
+  check_csr_arrays(rows_, cols_, rowptr_, colind_, val_.size(),
+                   [](const char* msg) {
+                     throw InternalError(std::string("Csr: ") + msg);
+                   });
 }
 
 }  // namespace radix

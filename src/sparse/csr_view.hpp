@@ -13,9 +13,9 @@
 //
 // A view constructed from a Csr<float> inherits its invariants; a view
 // over foreign memory can be checked explicitly with
-// check_view_invariants (same rules as Csr::check_invariants, but
-// throwing the caller-supplied error type so the artifact reader can
-// surface typed format errors).
+// check_view_invariants (the same check_csr_arrays as
+// Csr::check_invariants, but throwing the caller-supplied error type so
+// the artifact reader can surface typed format errors).
 #pragma once
 
 #include <span>
@@ -62,24 +62,9 @@ class CsrFloatView {
                       std::vector<float>(val_.begin(), val_.end()));
   }
 
-  /// Transpose into an owning matrix (CSC reinterpreted as CSR), same
-  /// algorithm as Csr::transpose but reading through the view.
+  /// Transpose into an owning matrix (CSC reinterpreted as CSR).
   Csr<float> transpose() const {
-    std::vector<offset_t> rowptr(static_cast<std::size_t>(cols_) + 1, 0);
-    for (index_t c : colind_) ++rowptr[c + 1];
-    for (index_t c = 0; c < cols_; ++c) rowptr[c + 1] += rowptr[c];
-    std::vector<index_t> colind(nnz());
-    std::vector<float> val(nnz());
-    std::vector<offset_t> cursor(rowptr.begin(), rowptr.end() - 1);
-    for (index_t r = 0; r < rows_; ++r) {
-      for (offset_t k = rowptr_[r]; k < rowptr_[r + 1]; ++k) {
-        const offset_t dst = cursor[colind_[k]]++;
-        colind[dst] = r;
-        val[dst] = val_[k];
-      }
-    }
-    return Csr<float>(cols_, rows_, std::move(rowptr), std::move(colind),
-                      std::move(val));
+    return transpose_csr_arrays<float>(rows_, cols_, rowptr_, colind_, val_);
   }
 
  private:
@@ -91,34 +76,12 @@ class CsrFloatView {
 };
 
 /// Validate the CSR invariants of a view over untrusted memory, calling
-/// `fail(message)` (which must throw) on the first violation.  Rules
-/// mirror Csr::check_invariants: rowptr has rows+1 entries starting at
-/// 0 and ending at nnz, non-decreasing; column indices strictly
-/// increasing within each row and < cols; values parallel colind.
+/// `fail(message)` (which must throw) on the first violation, by the
+/// rules of check_csr_arrays.
 template <typename FailFn>
 void check_view_invariants(const CsrFloatView& v, FailFn&& fail) {
-  if (v.rowptr().size() != static_cast<std::size_t>(v.rows()) + 1) {
-    fail("rowptr size != rows + 1");
-  }
-  if (v.rowptr().front() != 0) fail("rowptr[0] != 0");
-  if (v.rowptr().back() != v.colind().size()) fail("rowptr back != nnz");
-  if (v.colind().size() != v.values().size()) {
-    fail("colind/values size mismatch");
-  }
-  const auto rowptr = v.rowptr();
-  const auto colind = v.colind();
-  for (index_t r = 0; r < v.rows(); ++r) {
-    if (rowptr[r] > rowptr[r + 1]) fail("rowptr not monotone");
-    // Bound the row before its loop reads colind: monotonicity alone
-    // lets an interior entry run past nnz.
-    if (rowptr[r + 1] > colind.size()) fail("rowptr entry past nnz");
-    for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
-      if (colind[k] >= v.cols()) fail("column index out of range");
-      if (k > rowptr[r] && colind[k - 1] >= colind[k]) {
-        fail("columns not strictly increasing within row");
-      }
-    }
-  }
+  check_csr_arrays(v.rows(), v.cols(), v.rowptr(), v.colind(),
+                   v.values().size(), fail);
 }
 
 }  // namespace radix

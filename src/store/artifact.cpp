@@ -358,8 +358,16 @@ infer::SparseDnn ArtifactReader::instantiate() const {
     }
     const std::string text(reinterpret_cast<const char*>(payload(spec_sec)),
                            spec_sec.size);
-    const RadixNetSpec spec = spec_from_text(text);
-    const Fnnt topo = build_radix_net(spec);
+    // Text that parses but names an invalid net is artifact content, so
+    // the RadixNetSpec or builder SpecError becomes a format error.
+    const Fnnt topo = [&] {
+      try {
+        return build_radix_net(spec_from_text(text, path_));
+      } catch (const SpecError& e) {
+        throw FormatError(path_ + ": spec section names no valid net: " +
+                          e.what());
+      }
+    }();
     if (topo.depth() != layer_count_) {
       throw FormatError(path_ + ": spec builds " +
                         std::to_string(topo.depth()) +
@@ -385,6 +393,15 @@ infer::SparseDnn ArtifactReader::instantiate() const {
   }
   const auto* dims =
       reinterpret_cast<const std::uint32_t*>(payload(dims_sec));
+  for (std::uint32_t k = 1; k < layer_count_; ++k) {
+    if (dims[2 * k] != dims[2 * k - 1]) {
+      throw FormatError(path_ + ": layer dims do not chain: layer " +
+                        std::to_string(k) + " has " +
+                        std::to_string(dims[2 * k]) + " rows, layer " +
+                        std::to_string(k - 1) + " has " +
+                        std::to_string(dims[2 * k - 1]) + " cols");
+    }
+  }
   std::vector<CsrFloatView> views;
   views.reserve(layer_count_);
   for (std::uint32_t k = 0; k < layer_count_; ++k) {

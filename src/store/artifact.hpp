@@ -7,14 +7,16 @@
 // assemble the whole file in memory and commit it through
 // write_durably (store/durable.hpp): temp file, fsync, atomic rename.
 //
-// ArtifactReader mmaps an artifact read-only and validates it eagerly
-// (magic, version, header hash, truncation, per-section checksums, CSR
-// invariants) -- the constructor throws the typed errors of
-// store/format.hpp on anything suspect, so a reader that constructs is
-// safe to instantiate from.  instantiate() of a full-CSR artifact is
-// zero-copy: the returned SparseDnn's layers are CsrFloatViews directly
-// into the mapping, which stays pinned by the engine's shared_ptr
-// keep-alive for as long as any instantiated model lives.
+// ArtifactReader mmaps an artifact read-only and validates its bytes
+// eagerly (magic, version, header hash, truncation, per-section
+// checksums) -- the constructor throws the typed errors of
+// store/format.hpp on anything suspect.  instantiate() checks what the
+// bytes name (CSR invariants, layer dims, the spec) and throws
+// FormatError for a model that is not valid.  instantiate() of a
+// full-CSR artifact is zero-copy: the returned SparseDnn's layers are
+// CsrFloatViews directly into the mapping, which stays pinned by the
+// engine's shared_ptr keep-alive for as long as any instantiated model
+// lives.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +46,7 @@ void save_spec_artifact(const std::string& path, const RadixNetSpec& spec,
 
 class ArtifactReader {
  public:
-  /// Maps and fully validates the artifact; throws FormatError /
+  /// Maps the artifact and validates its bytes; throws FormatError /
   /// ChecksumError / TruncatedError (or plain IoError for open/map
   /// failures).
   explicit ArtifactReader(const std::string& path);
@@ -57,7 +59,8 @@ class ArtifactReader {
 
   /// Build the model.  Full-CSR artifacts are viewed zero-copy (the
   /// mapping is kept alive by the returned engine); spec-only artifacts
-  /// rebuild the topology through radixnet::builder.
+  /// rebuild the topology through radixnet::builder.  Throws
+  /// FormatError for content that names no valid model.
   infer::SparseDnn instantiate() const;
 
   /// The raw mapping, for tests asserting views point into it.

@@ -1,68 +1,13 @@
-// Submatrix extraction and per-class metrics.
+// Per-class classification metrics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/metrics.hpp"
-#include "sparse/dense.hpp"
-#include "sparse/extract.hpp"
-#include "support/error.hpp"
-#include "support/random.hpp"
 
 namespace radix {
 namespace {
-
-Csr<double> random_sparse(index_t rows, index_t cols, double density,
-                          Rng& rng) {
-  Coo<double> coo(rows, cols);
-  for (index_t r = 0; r < rows; ++r) {
-    for (index_t c = 0; c < cols; ++c) {
-      if (rng.bernoulli(density)) coo.push(r, c, rng.uniform(-2.0, 2.0));
-    }
-  }
-  return Csr<double>::from_coo(coo);
-}
-
-TEST(ExtractWindow, MatchesDenseSlice) {
-  Rng rng(1);
-  const auto m = random_sparse(10, 12, 0.4, rng);
-  const auto w = extract_window(m, 2, 7, 3, 11);
-  w.check_invariants();
-  EXPECT_EQ(w.rows(), 5u);
-  EXPECT_EQ(w.cols(), 8u);
-  const Dense dm = to_dense(m);
-  const Dense dw = to_dense(w);
-  for (index_t r = 0; r < 5; ++r) {
-    for (index_t c = 0; c < 8; ++c) {
-      EXPECT_DOUBLE_EQ(dw.at(r, c), dm.at(r + 2, c + 3));
-    }
-  }
-}
-
-TEST(ExtractWindow, EmptyAndFullRanges) {
-  Rng rng(2);
-  const auto m = random_sparse(6, 6, 0.5, rng);
-  const auto empty = extract_window(m, 3, 3, 0, 6);
-  EXPECT_EQ(empty.rows(), 0u);
-  EXPECT_EQ(empty.nnz(), 0u);
-  const auto full = extract_window(m, 0, 6, 0, 6);
-  EXPECT_EQ(full, m);
-  EXPECT_THROW(extract_window(m, 4, 2, 0, 6), DimensionError);
-  EXPECT_THROW(extract_window(m, 0, 7, 0, 6), DimensionError);
-}
-
-TEST(ExtractRows, SelectsInOrderWithDuplicates) {
-  Rng rng(3);
-  const auto m = random_sparse(8, 5, 0.5, rng);
-  const auto sel = extract_rows(m, {6, 1, 6});
-  EXPECT_EQ(sel.rows(), 3u);
-  const Dense dm = to_dense(m);
-  const Dense ds = to_dense(sel);
-  for (index_t c = 0; c < 5; ++c) {
-    EXPECT_DOUBLE_EQ(ds.at(0, c), dm.at(6, c));
-    EXPECT_DOUBLE_EQ(ds.at(1, c), dm.at(1, c));
-    EXPECT_DOUBLE_EQ(ds.at(2, c), dm.at(6, c));
-  }
-  EXPECT_THROW(extract_rows(m, {8}), DimensionError);
-}
 
 TEST(PerClassMetrics, PerfectPredictions) {
   const std::vector<std::int32_t> labels = {0, 1, 2, 0, 1, 2};

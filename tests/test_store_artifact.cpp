@@ -17,7 +17,9 @@
 #include <cstring>
 #include <fstream>
 #include <new>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 // The replacement operator new below is malloc-backed, so pairing it
@@ -105,6 +107,53 @@ class StoreArtifactTest : public ::testing::Test {
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
     EXPECT_TRUE(out.good());
+  }
+
+  // Apply `patch` to the payload of every section of `kind`, then
+  // recompute those sections' hashes and the header hash, so every
+  // checksum still passes.  Returns the number of sections patched.
+  template <typename Patch>
+  static int tamper(std::vector<std::uint8_t>& bytes, store::SectionKind kind,
+                    Patch&& patch) {
+    store::FileHeader header{};
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    int patched = 0;
+    for (std::uint32_t i = 0; i < header.section_count; ++i) {
+      std::uint8_t* slot = bytes.data() + sizeof(store::FileHeader) +
+                           i * sizeof(store::SectionEntry);
+      store::SectionEntry entry{};
+      std::memcpy(&entry, slot, sizeof(entry));
+      if (entry.kind != static_cast<std::uint32_t>(kind)) continue;
+      patch(std::span<std::uint8_t>(bytes.data() + entry.offset, entry.size));
+      entry.hash = store::xxh64(bytes.data() + entry.offset, entry.size);
+      std::memcpy(slot, &entry, sizeof(entry));
+      ++patched;
+    }
+    const std::uint64_t zero = 0;
+    std::memcpy(bytes.data() + offsetof(store::FileHeader, header_hash),
+                &zero, sizeof(zero));
+    const std::uint64_t header_hash =
+        store::xxh64(bytes.data(), sizeof(store::FileHeader) +
+                                       header.section_count *
+                                           sizeof(store::SectionEntry));
+    std::memcpy(bytes.data() + offsetof(store::FileHeader, header_hash),
+                &header_hash, sizeof(header_hash));
+    return patched;
+  }
+
+  // The artifact at `p` opens, but instantiate() must throw a
+  // FormatError that names the file and contains `needle`.
+  static void expect_instantiate_format_error(const std::string& p,
+                                              const std::string& needle) {
+    ArtifactReader reader(p);
+    try {
+      (void)reader.instantiate();
+      ADD_FAILURE() << p << " instantiated";
+    } catch (const store::FormatError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(p), std::string::npos) << what;
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
   }
 
   // A small shuffled challenge network (shuffled so it is NOT spec
@@ -266,48 +315,62 @@ TEST_F(StoreArtifactTest, InteriorRowptrPastNnzThrowsFormatError) {
   const std::string p = path("rowptr.radixart");
   store::save_artifact(p, dnn, "m");
 
-  // Tamper rowptr[1], then recompute its section hash and the header
-  // hash, so every checksum passes.
+  // Tamper rowptr[1]; every checksum still passes.
   auto bytes = slurp(p);
-  store::FileHeader header{};
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  int patched = 0;
-  for (std::uint32_t i = 0; i < header.section_count; ++i) {
-    std::uint8_t* slot = bytes.data() + sizeof(store::FileHeader) +
-                         i * sizeof(store::SectionEntry);
-    store::SectionEntry entry{};
-    std::memcpy(&entry, slot, sizeof(entry));
-    if (entry.kind !=
-        static_cast<std::uint32_t>(store::SectionKind::kRowPtr)) {
-      continue;
-    }
-    const offset_t past_nnz = offset_t{1} << 36;
-    std::memcpy(bytes.data() + entry.offset + sizeof(offset_t), &past_nnz,
-                sizeof(past_nnz));
-    entry.hash = store::xxh64(bytes.data() + entry.offset, entry.size);
-    std::memcpy(slot, &entry, sizeof(entry));
-    ++patched;
-  }
-  ASSERT_EQ(patched, 1);
-  const std::uint64_t zero = 0;
-  std::memcpy(bytes.data() + offsetof(store::FileHeader, header_hash), &zero,
-              sizeof(zero));
-  const std::uint64_t header_hash =
-      store::xxh64(bytes.data(), sizeof(store::FileHeader) +
-                                     header.section_count *
-                                         sizeof(store::SectionEntry));
-  std::memcpy(bytes.data() + offsetof(store::FileHeader, header_hash),
-              &header_hash, sizeof(header_hash));
+  ASSERT_EQ(1, tamper(bytes, store::SectionKind::kRowPtr,
+                      [](std::span<std::uint8_t> rowptr) {
+                        const offset_t past_nnz = offset_t{1} << 36;
+                        std::memcpy(rowptr.data() + sizeof(offset_t),
+                                    &past_nnz, sizeof(past_nnz));
+                      }));
   spit(path("bad.radixart"), bytes);
+  expect_instantiate_format_error(path("bad.radixart"), "rowptr");
+}
 
-  ArtifactReader reader(path("bad.radixart"));
-  try {
-    (void)reader.instantiate();
-    FAIL() << "an interior rowptr entry past nnz must not instantiate";
-  } catch (const store::FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("rowptr"), std::string::npos)
-        << e.what();
-  }
+TEST_F(StoreArtifactTest, LayerDimsThatDoNotChainThrowFormatError) {
+  // A 2 x 4 layer, then a 4 x 2 one; each layer's CSR stays valid when
+  // layer 0's declared cols grow from 4 to 8, so only a chain check on
+  // the dims catches the mismatch.
+  const infer::SparseDnn dnn(
+      {Csr<float>(2, 4, {0, 2, 4}, {0, 1, 2, 3}, {1.0f, 1.0f, 1.0f, 1.0f}),
+       Csr<float>(4, 2, {0, 1, 2, 3, 4}, {0, 1, 0, 1},
+                  {1.0f, 1.0f, 1.0f, 1.0f})},
+      0.0f);
+  const std::string p = path("dims.radixart");
+  store::save_artifact(p, dnn, "m");
+
+  auto bytes = slurp(p);
+  ASSERT_EQ(1, tamper(bytes, store::SectionKind::kLayerDims,
+                      [](std::span<std::uint8_t> dims) {
+                        const std::uint32_t cols = 8;
+                        std::memcpy(dims.data() + sizeof(std::uint32_t),
+                                    &cols, sizeof(cols));
+                      }));
+  spit(path("bad.radixart"), bytes);
+  expect_instantiate_format_error(path("bad.radixart"), "do not chain");
+}
+
+TEST_F(StoreArtifactTest, SpecNamingNoValidNetThrowsFormatError) {
+  // "systems: 2,2" names a 2-layer net of width 4; "systems: 1,2"
+  // parses, but radix 1 is no valid mixed-radix system.
+  const RadixNetSpec spec = RadixNetSpec::extended({MixedRadix({2, 2})});
+  const std::vector<float> weights = {1.0f, 1.0f};
+  const std::vector<float> biases = {0.0f, 0.0f};
+  const std::string p = path("spec.radixart");
+  store::save_spec_artifact(p, spec, weights, biases, 32.0f, "m");
+
+  auto bytes = slurp(p);
+  ASSERT_EQ(1, tamper(bytes, store::SectionKind::kSpec,
+                      [](std::span<std::uint8_t> text) {
+                        const std::string_view view(
+                            reinterpret_cast<const char*>(text.data()),
+                            text.size());
+                        const auto at = view.find("systems: 2,2");
+                        ASSERT_NE(at, std::string_view::npos) << view;
+                        text[at + 9] = '1';
+                      }));
+  spit(path("bad.radixart"), bytes);
+  expect_instantiate_format_error(path("bad.radixart"), "spec");
 }
 
 TEST_F(StoreArtifactTest, TruncatedFileThrowsTruncatedError) {
